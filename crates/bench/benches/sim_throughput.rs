@@ -3,15 +3,27 @@
 //!
 //! This is the bench guarding the hot-path optimisations (slab-indexed in-flight
 //! table, ready-list wakeup, allocation-free cycle loop): any regression in the
-//! per-cycle bookkeeping shows up directly as lower simulated-MIPS here.
+//! per-cycle bookkeeping shows up directly as lower simulated-MIPS here. Each
+//! run replays the shared recorded trace directly on the kernel, as the
+//! `golden` binary does, so the numbers measure the kernel alone.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use flywheel_bench::{run_baseline, run_flywheel, simulated_mips};
-use flywheel_core::FlywheelConfig;
+use flywheel_bench::{shared_trace, simulated_mips, EXPERIMENT_SEED};
+use flywheel_core::{FlywheelConfig, FlywheelSim};
 use flywheel_timing::TechNode;
-use flywheel_uarch::SimBudget;
+use flywheel_uarch::{BaselineConfig, BaselineSim, SimBudget, SimResult};
 use flywheel_workloads::Benchmark;
 use std::time::Instant;
+
+fn baseline(bench: Benchmark, budget: SimBudget) -> SimResult {
+    let trace = shared_trace(bench, EXPERIMENT_SEED, budget);
+    BaselineSim::new(BaselineConfig::paper(TechNode::N130), trace.cursor()).run(budget)
+}
+
+fn flywheel(bench: Benchmark, cfg: FlywheelConfig, budget: SimBudget) -> SimResult {
+    let trace = shared_trace(bench, EXPERIMENT_SEED, budget);
+    FlywheelSim::new(cfg, trace.cursor()).run(budget).sim
+}
 
 fn sim_throughput(c: &mut Criterion) {
     let node = TechNode::N130;
@@ -22,22 +34,23 @@ fn sim_throughput(c: &mut Criterion) {
     let headline: Vec<(&str, Runner)> = vec![
         (
             "baseline/gzip",
-            Box::new(move || run_baseline(Benchmark::Gzip, node, budget).instructions),
+            Box::new(move || baseline(Benchmark::Gzip, budget).instructions),
         ),
         (
             "flywheel/gzip",
             Box::new(move || {
-                run_flywheel(
+                flywheel(
                     Benchmark::Gzip,
                     FlywheelConfig::paper_iso_clock(node),
                     budget,
                 )
-                .sim
                 .instructions
             }),
         ),
     ];
     for (name, run) in headline {
+        // Record the shared trace first, so the timing covers the kernel only.
+        let _ = shared_trace(Benchmark::Gzip, EXPERIMENT_SEED, budget);
         let start = Instant::now();
         let measured = run();
         let wall = start.elapsed();
@@ -53,14 +66,14 @@ fn sim_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim_throughput");
     group.sample_size(10);
     group.bench_function("baseline_gzip_210k", |b| {
-        b.iter(|| criterion::black_box(run_baseline(Benchmark::Gzip, node, budget)))
+        b.iter(|| criterion::black_box(baseline(Benchmark::Gzip, budget)))
     });
     group.bench_function("baseline_equake_210k", |b| {
-        b.iter(|| criterion::black_box(run_baseline(Benchmark::Equake, node, budget)))
+        b.iter(|| criterion::black_box(baseline(Benchmark::Equake, budget)))
     });
     group.bench_function("flywheel_iso_gzip_210k", |b| {
         b.iter(|| {
-            criterion::black_box(run_flywheel(
+            criterion::black_box(flywheel(
                 Benchmark::Gzip,
                 FlywheelConfig::paper_iso_clock(node),
                 budget,
@@ -69,7 +82,7 @@ fn sim_throughput(c: &mut Criterion) {
     });
     group.bench_function("flywheel_fe50_be50_ijpeg_210k", |b| {
         b.iter(|| {
-            criterion::black_box(run_flywheel(
+            criterion::black_box(flywheel(
                 Benchmark::Ijpeg,
                 FlywheelConfig::paper(node, 50, 50),
                 budget,

@@ -3,20 +3,29 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p flywheel-bench --bin experiments -- [experiment] [measured-insts] [--store PATH]
+//! cargo run --release -p flywheel-bench --bin experiments -- [experiment] [measured-insts] [--store PATH] [--telemetry PATH]
 //! ```
 //!
 //! where `experiment` is one of `table1`, `fig1`, `fig2`, `fig11`, `fig12`, `fig13`,
 //! `fig14`, `fig15`, `ec_residency` or `all` (default). The optional second argument
 //! overrides the measured instruction count per benchmark.
 //!
+//! Every simulated figure is a scenario preset run through
+//! `Scenario::run_with_store` and rendered by its one renderer on
+//! `ScenarioRun` — the same definition the `scenarios` binary and the
+//! `report` binary use. Figures 12–14 are three views of one clock-sweep run,
+//! so `fig12`, `fig13` and `fig14` each run it once and print all three
+//! tables; `fig15` prints its per-node leakage-attribution tables too.
+//!
 //! With `--store PATH`, results are memoized in a persistent content-addressed
 //! store (see `flywheel_bench::store`): cells whose full input — machine
 //! configuration, workload, seed, budget, code-version salt — is already
 //! stored are recalled instead of simulated, so a warm re-run performs zero
 //! simulations and a run after touching one knob only simulates the affected
-//! cells. The same store feeds the `report` binary (`flywheel-report`), which
-//! regenerates RESULTS.md and the EXPERIMENTS.md figure tables from it.
+//! cells. Without it, the entries share an in-memory store, so a baseline
+//! cell several figures read is simulated once. The same store feeds the
+//! `report` binary (`flywheel-report`), which regenerates RESULTS.md and the
+//! EXPERIMENTS.md figure tables from it.
 //!
 //! The simulation sweeps fan out across all cores (`FLYWHEEL_JOBS` caps the
 //! worker count); every cell is an independent deterministic simulation, so the
@@ -25,15 +34,12 @@
 //! them to `BENCH.json` so the performance trajectory of the simulator itself
 //! can be tracked across commits.
 
-use flywheel_bench::{
-    experiment_budget, parallel_map, print_table, run_baseline, run_baseline_with, run_flywheel,
-    simulated_mips, Row, CLOCK_SWEEP,
-};
-use flywheel_core::FlywheelConfig;
+use flywheel_bench::scenario::Scenario;
+use flywheel_bench::store::{ResultStore, StoreSummary};
+use flywheel_bench::{experiment_budget, simulated_mips};
 use flywheel_timing::{paper, ModuleFrequencies, StructureLatency, TechNode};
 use flywheel_timing::{CacheGeometry, IssueWindowGeometry, RegFileGeometry};
-use flywheel_uarch::{BaselineConfig, SimBudget};
-use flywheel_workloads::Benchmark;
+use flywheel_uarch::SimBudget;
 use std::time::Instant;
 
 /// Wall-clock and throughput accounting for one experiment.
@@ -46,34 +52,6 @@ struct Report {
     /// then measures recall speed, not simulator throughput, and is excluded
     /// from the `total` trajectory line so it cannot deflate it.
     recalled: bool,
-}
-
-/// Runs `f` under a timer, charging it the instructions of the simulations it
-/// *actually performed*: cells recalled from the result store count zero, so
-/// throughput numbers always describe real simulator work (a fully warm sweep
-/// honestly reports 0 instructions and 0 MIPS rather than absurd recall
-/// speeds).
-fn timed(name: &'static str, reports: &mut Vec<Report>, budget: SimBudget, f: impl FnOnce()) {
-    let sims_before = flywheel_bench::simulations_performed();
-    let start = Instant::now();
-    f();
-    let wall = start.elapsed();
-    let simulated_instructions =
-        (flywheel_bench::simulations_performed() - sims_before) * budget.total();
-    let mips = simulated_mips(simulated_instructions, wall);
-    let recalled = simulated_instructions == 0;
-    println!(
-        "[{name}] {:.2} s wall, {simulated_instructions} simulated instructions, {mips:.2} MIPS{}",
-        wall.as_secs_f64(),
-        if recalled { " (recalled)" } else { "" }
-    );
-    reports.push(Report {
-        name,
-        wall_s: wall.as_secs_f64(),
-        simulated_instructions,
-        mips,
-        recalled,
-    });
 }
 
 fn main() {
@@ -105,18 +83,19 @@ fn main() {
     if let Some(n) = positional.get(1).and_then(|s| s.parse::<u64>().ok()) {
         budget = SimBudget::new(n / 10, n);
     }
-    if let Some(path) = &store_path {
-        match flywheel_bench::store::ResultStore::open(path) {
+    let mut store = match &store_path {
+        Some(path) => match ResultStore::open(path) {
             Ok(store) => {
                 println!("store {path}: {} records", store.len());
-                flywheel_bench::store::install_global_store(store);
+                store
             }
             Err(e) => {
                 eprintln!("could not open result store {path}: {e}");
                 std::process::exit(1);
             }
-        }
-    }
+        },
+        None => ResultStore::in_memory(),
+    };
 
     if let Some(path) = &telemetry_path {
         let interval = flywheel_uarch::telemetry::DEFAULT_SAMPLE_INTERVAL;
@@ -130,51 +109,68 @@ fn main() {
         println!("telemetry armed: event log {path} (sample interval {interval} cycles)");
     }
 
-    let mut reports: Vec<Report> = Vec::new();
-    let r = &mut reports;
-    match which.as_str() {
-        "table1" => table1(),
-        "fig1" => fig1(),
-        "fig2" => timed("fig2", r, budget, || fig2(budget)),
-        "fig11" => timed("fig11", r, budget, || fig11(budget)),
-        "fig12" => timed("fig12", r, budget, || {
-            clock_sweep(
-                &[("Figure 12: relative performance", Metric::Performance)],
-                budget,
-            )
-        }),
-        "fig13" => timed("fig13", r, budget, || {
-            clock_sweep(&[("Figure 13: relative energy", Metric::Energy)], budget)
-        }),
-        "fig14" => timed("fig14", r, budget, || {
-            clock_sweep(&[("Figure 14: relative power", Metric::Power)], budget)
-        }),
-        "fig15" => timed("fig15", r, budget, || fig15(budget)),
-        "ec_residency" => timed("ec_residency", r, budget, || ec_residency(budget)),
+    let presets: Vec<&'static str> = match which.as_str() {
+        "table1" => {
+            table1();
+            Vec::new()
+        }
+        "fig1" => {
+            fig1();
+            Vec::new()
+        }
         "all" => {
             table1();
             fig1();
-            timed("fig2", r, budget, || fig2(budget));
-            timed("fig11", r, budget, || fig11(budget));
-            // Figures 12-14 plot three metrics of the same (benchmark, clock)
-            // matrix; simulate it once and emit all three tables.
-            timed("fig12-14", r, budget, || {
-                clock_sweep(
-                    &[
-                        ("Figure 12: relative performance", Metric::Performance),
-                        ("Figure 13: relative energy", Metric::Energy),
-                        ("Figure 14: relative power", Metric::Power),
-                    ],
-                    budget,
-                )
-            });
-            timed("fig15", r, budget, || fig15(budget));
-            timed("ec_residency", r, budget, || ec_residency(budget));
+            Scenario::figure_names().collect()
         }
-        other => {
-            eprintln!("unknown experiment '{other}'");
+        // Figures 13 and 14 are views of the Figure 12 run.
+        "fig12-14" | "fig13" | "fig14" => vec!["fig12"],
+        other => match Scenario::figure_names().find(|&name| name == other) {
+            Some(name) => vec![name],
+            None => {
+                eprintln!("unknown experiment '{other}'");
+                std::process::exit(1);
+            }
+        },
+    };
+
+    let mut reports: Vec<Report> = Vec::new();
+    let mut total = StoreSummary::default();
+    for preset in presets {
+        // Figures 12-14 share one run, timed as one entry.
+        let name = if preset == "fig12" {
+            "fig12-14"
+        } else {
+            preset
+        };
+        let scenario = Scenario::preset(preset, budget).expect("figure presets are registered");
+        let start = Instant::now();
+        let (run, summary) = scenario.run_with_store(&mut store);
+        let tables = run.figure_tables().unwrap_or_else(|e| {
+            eprintln!("{name}: {e}");
             std::process::exit(1);
-        }
+        });
+        print!("{tables}");
+        let wall = start.elapsed();
+        // Recalled cells count zero, so throughput always describes real
+        // simulator work: a fully warm sweep honestly reports 0 instructions
+        // and 0 MIPS rather than absurd recall speeds.
+        let simulated_instructions = summary.simulated as u64 * budget.total();
+        let mips = simulated_mips(simulated_instructions, wall);
+        let recalled = simulated_instructions == 0;
+        println!(
+            "[{name}] {:.2} s wall, {simulated_instructions} simulated instructions, {mips:.2} MIPS{}",
+            wall.as_secs_f64(),
+            if recalled { " (recalled)" } else { "" }
+        );
+        reports.push(Report {
+            name,
+            wall_s: wall.as_secs_f64(),
+            simulated_instructions,
+            mips,
+            recalled,
+        });
+        total += summary;
     }
 
     if !reports.is_empty() {
@@ -203,17 +199,11 @@ fn main() {
         }
     }
 
-    if store_path.is_some() {
-        let (hits, misses) = flywheel_bench::store::global_store_counters();
-        let store = flywheel_bench::store::take_global_store().expect("store was installed");
+    if let Some(path) = &store_path {
         println!(
-            "store {}: {} recalled, {} simulated, {} records total",
-            store
-                .path()
-                .map(|p| p.display().to_string())
-                .unwrap_or_default(),
-            hits,
-            misses,
+            "store {path}: {} recalled, {} simulated, {} records total",
+            total.hits,
+            total.simulated,
             store.len()
         );
     }
@@ -298,10 +288,6 @@ fn write_bench_json(reports: &[Report]) -> std::io::Result<&'static str> {
     Ok("BENCH.json")
 }
 
-fn node() -> TechNode {
-    TechNode::N130
-}
-
 /// Table 1: module clock frequencies per technology node, model vs paper.
 fn table1() {
     println!("\n== Table 1: module clock frequencies (MHz), modelled vs published ==");
@@ -365,154 +351,4 @@ fn fig1() {
         }
         println!();
     }
-}
-
-/// Figure 2: IPC degradation from an extra front-end stage vs pipelined
-/// Wake-up/Select.
-fn fig2(budget: SimBudget) {
-    let columns = vec!["fetch+1 %".to_owned(), "wakeup/sel %".to_owned()];
-    let benches = Benchmark::paper_suite();
-    let rows: Vec<Row> = parallel_map(benches, |bench| {
-        let base = run_baseline(*bench, node(), budget);
-        let deeper = run_baseline_with(
-            *bench,
-            BaselineConfig::paper(node()).with_extra_frontend_stage(),
-            budget,
-        );
-        let piped = run_baseline_with(
-            *bench,
-            BaselineConfig::paper(node()).with_pipelined_wakeup(),
-            budget,
-        );
-        let degradation = |v: &flywheel_uarch::SimResult| {
-            (v.elapsed_ps as f64 / base.elapsed_ps as f64 - 1.0) * 100.0
-        };
-        Row {
-            bench: bench.name(),
-            values: vec![degradation(&deeper), degradation(&piped)],
-        }
-    });
-    print_table(
-        "Figure 2: performance degradation (%) from pipeline-loop stretching",
-        &columns,
-        &rows,
-    );
-}
-
-/// Figure 11: register-allocation machine and Flywheel at the baseline clock.
-fn fig11(budget: SimBudget) {
-    let columns = vec!["reg-alloc".to_owned(), "flywheel".to_owned()];
-    let benches = Benchmark::paper_suite();
-    let rows: Vec<Row> = parallel_map(benches, |bench| {
-        let base = run_baseline(*bench, node(), budget);
-        let regalloc = run_flywheel(
-            *bench,
-            FlywheelConfig::register_allocation_only(node()),
-            budget,
-        );
-        let flywheel = run_flywheel(*bench, FlywheelConfig::paper_iso_clock(node()), budget);
-        Row {
-            bench: bench.name(),
-            values: vec![regalloc.speedup_over(&base), flywheel.speedup_over(&base)],
-        }
-    });
-    print_table(
-        "Figure 11: performance at the baseline clock, normalized to the baseline",
-        &columns,
-        &rows,
-    );
-}
-
-#[derive(Clone, Copy)]
-enum Metric {
-    Performance,
-    Energy,
-    Power,
-}
-
-/// Figures 12-14: sweep the front-end clock with the back-end at +50%. Every
-/// requested metric is read off the same simulation results, so asking for all
-/// three figures costs one matrix, not three.
-fn clock_sweep(tables: &[(&str, Metric)], budget: SimBudget) {
-    let columns: Vec<String> = CLOCK_SWEEP
-        .iter()
-        .map(|(fe, be)| format!("FE{fe}/BE{be}"))
-        .collect();
-    let benches = Benchmark::paper_suite();
-    // Every (benchmark, clock point) cell is independent; fan the whole matrix
-    // out at once rather than row by row.
-    let baselines = parallel_map(benches, |bench| run_baseline(*bench, node(), budget));
-    let cells: Vec<(usize, u32, u32)> = benches
-        .iter()
-        .enumerate()
-        .flat_map(|(bi, _)| CLOCK_SWEEP.iter().map(move |&(fe, be)| (bi, fe, be)))
-        .collect();
-    let results = parallel_map(&cells, |&(bi, fe, be)| {
-        run_flywheel(benches[bi], FlywheelConfig::paper(node(), fe, be), budget)
-    });
-    for &(title, metric) in tables {
-        let rows: Vec<Row> = benches
-            .iter()
-            .enumerate()
-            .map(|(bi, bench)| Row {
-                bench: bench.name(),
-                values: (bi * CLOCK_SWEEP.len()..(bi + 1) * CLOCK_SWEEP.len())
-                    .map(|ci| match metric {
-                        Metric::Performance => results[ci].speedup_over(&baselines[bi]),
-                        Metric::Energy => results[ci].energy_ratio_over(&baselines[bi]),
-                        Metric::Power => results[ci].power_ratio_over(&baselines[bi]),
-                    })
-                    .collect(),
-            })
-            .collect();
-        print_table(title, &columns, &rows);
-    }
-}
-
-/// Figure 15: relative energy of FE100/BE50 at 130, 90 and 60 nm.
-fn fig15(budget: SimBudget) {
-    let nodes = TechNode::power_study_nodes();
-    let columns: Vec<String> = nodes.iter().map(|n| n.to_string()).collect();
-    let benches = Benchmark::paper_suite();
-    let cells: Vec<(usize, TechNode)> = benches
-        .iter()
-        .enumerate()
-        .flat_map(|(bi, _)| nodes.iter().map(move |&n| (bi, n)))
-        .collect();
-    let values = parallel_map(&cells, |&(bi, n)| {
-        let base = run_baseline(benches[bi], n, budget);
-        let fly = run_flywheel(benches[bi], FlywheelConfig::paper(n, 100, 50), budget);
-        fly.energy_ratio_over(&base)
-    });
-    let rows: Vec<Row> = benches
-        .iter()
-        .enumerate()
-        .map(|(bi, bench)| Row {
-            bench: bench.name(),
-            values: values[bi * nodes.len()..(bi + 1) * nodes.len()].to_vec(),
-        })
-        .collect();
-    print_table(
-        "Figure 15: relative energy of Flywheel (FE100%, BE50%) per technology node",
-        &columns,
-        &rows,
-    );
-}
-
-/// Section 5: fraction of execution time spent on the Execution Cache path.
-fn ec_residency(budget: SimBudget) {
-    let columns = vec!["residency".to_owned(), "ec hit rate".to_owned()];
-    let benches = Benchmark::paper_suite();
-    let rows: Vec<Row> = parallel_map(benches, |bench| {
-        let fly = run_flywheel(*bench, FlywheelConfig::paper_iso_clock(node()), budget);
-        Row {
-            bench: bench.name(),
-            values: vec![fly.flywheel.ec_residency, fly.flywheel.ec_hit_rate()],
-        }
-    });
-    print_table(
-        "Execution-path residency (paper reports an 88% average; vortex the lowest)",
-        &columns,
-        &rows,
-    );
 }

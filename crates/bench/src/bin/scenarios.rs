@@ -8,12 +8,15 @@
 //! cargo run --release -p flywheel-bench --bin scenarios -- custom [axes] [options]
 //! ```
 //!
-//! Presets: `fig2`, `fig11`, `fig12` (tables byte-identical to the
-//! `experiments` binary at the same budget), `smoke` (the CI grid), `stress`
-//! (the stress-workload family over three config axes), `leakage` (technology
-//! node x machine x Execution Cache capacity, the attributed-leakage sweep),
-//! `multidomain` (the baseline against the LSQ-in-its-own-clock-domain
-//! machine) and `dvfs` (the Flywheel against its governed-clock variant).
+//! Presets (`Scenario::preset`): the paper figures `fig2`, `fig11`, `fig12`
+//! (with Figures 13 and 14), `fig15` (with its leakage-attribution tables) and
+//! `ec_residency`, which print their figure tables — the same renderers the
+//! `experiments` and `report` binaries use — plus `smoke` (the CI grid),
+//! `stress` (the stress-workload family over three config axes), `leakage`
+//! (technology node x machine x Execution Cache capacity, the
+//! attributed-leakage sweep), `multidomain` (the baseline against the
+//! LSQ-in-its-own-clock-domain machine) and `dvfs` (the Flywheel against its
+//! governed-clock variant).
 //!
 //! `scenarios list-machines [--names]` prints the registered machine
 //! families: name, power-model kind, which axes each family sweeps, its
@@ -99,8 +102,9 @@ use flywheel_workloads::Benchmark;
 use std::time::{Duration, Instant};
 
 fn usage() -> ! {
+    let presets: Vec<&str> = Scenario::preset_names().collect();
     eprintln!(
-        "usage: scenarios <fig2|fig11|fig12|smoke|stress|leakage|multidomain|dvfs|custom> \
+        "usage: scenarios <{}|custom> \
          [--benches a,b] [--machines m,..] [--nodes 130,..] [--clocks FE:BE,..] \
          [--windows IW:ROB,..] [--ec KB,..] [--mem CYC,..] [--seeds S,..] \
          [--insts N] [--check] [--json PATH] [--csv PATH] [--store PATH] \
@@ -113,7 +117,8 @@ fn usage() -> ! {
          [--deadline-ms N] [--status-dir D] [--faults SPEC] [--telemetry PATH]\
          \n       scenarios search [--objective max|min|both] [--seed S] \
          [--generations G] [--population P] [--children C] [--insts N] \
-         [--top K] [--store PATH]"
+         [--top K] [--store PATH]",
+        presets.join("|")
     );
     std::process::exit(1);
 }
@@ -547,29 +552,15 @@ fn main() {
             insts_override = Some(n);
         }
     }
-    let budget = insts_override
-        .map(|n| SimBudget::new(n / 10, n))
-        .unwrap_or_else(experiment_budget);
-
+    let budget = match insts_override {
+        Some(n) => SimBudget::new(n / 10, n),
+        // The smoke grid keeps its own tiny budget unless --insts overrides it.
+        None if which == "smoke" => Scenario::smoke().budget,
+        None => experiment_budget(),
+    };
     let mut scenario = match which.as_str() {
-        "fig2" => Scenario::fig2(budget),
-        "fig11" => Scenario::fig11(budget),
-        "fig12" => Scenario::fig12(budget),
-        "smoke" => {
-            let mut s = Scenario::smoke();
-            // The smoke preset keeps its own tiny default budget but still
-            // honours an explicit --insts.
-            if insts_override.is_some() {
-                s.budget = budget;
-            }
-            s
-        }
-        "stress" => Scenario::stress(budget),
-        "leakage" => Scenario::leakage(budget),
-        "multidomain" => Scenario::multidomain(budget),
-        "dvfs" => Scenario::dvfs(budget),
         "custom" => Scenario::new("custom", budget),
-        _ => usage(),
+        name => Scenario::preset(name, budget).unwrap_or_else(|| usage()),
     };
 
     let mut check = false;
@@ -646,19 +637,17 @@ fn main() {
         worker_count().min(cell_count.max(1)),
     );
     let start = Instant::now();
-    let (run, summary) = match &store_path {
-        Some(path) => {
-            let mut store = flywheel_bench::store::ResultStore::open(path).unwrap_or_else(|e| {
-                eprintln!("could not open result store {path}: {e}");
-                std::process::exit(1);
-            });
-            let (run, summary) = scenario.run_with_store(&mut store);
-            (run, Some((summary, store.len())))
-        }
-        None => (scenario.run(), None),
+    let mut store = match &store_path {
+        Some(path) => ResultStore::open(path).unwrap_or_else(|e| {
+            eprintln!("could not open result store {path}: {e}");
+            std::process::exit(1);
+        }),
+        None => ResultStore::in_memory(),
     };
+    let (run, summary) = scenario.run_with_store(&mut store);
     let wall = start.elapsed();
-    let insts = scenario.simulated_instructions();
+    // Recalled and failed cells did no simulator work.
+    let insts = summary.simulated as u64 * scenario.budget.total();
     println!(
         "[{}] {:.2} s wall, {} simulated instructions, {:.2} MIPS",
         scenario.name,
@@ -666,10 +655,12 @@ fn main() {
         insts,
         simulated_mips(insts, wall)
     );
-    if let (Some(path), Some((summary, total))) = (&store_path, &summary) {
+    if let Some(path) = &store_path {
         println!(
             "store {path}: {} cells recalled, {} simulated, {} records total",
-            summary.hits, summary.simulated, total
+            summary.hits,
+            summary.simulated,
+            store.len()
         );
     }
     if run.is_degraded() {
@@ -690,19 +681,12 @@ fn main() {
         }
     }
 
-    let table = match scenario.name.as_str() {
-        "fig2" => Some(run.fig2_table()),
-        "fig11" => Some(run.fig11_table()),
-        "fig12" => Some(run.fig12_table()),
-        _ => None,
-    };
-    match table {
-        Some(Ok(t)) => print!("{t}"),
+    match run.figure_tables() {
+        Ok(tables) => print!("{tables}"),
         // Axis overrides can strip cells a figure needs or move it off the
         // paper configuration; the run (and any requested artifacts) still
         // stand, only the figure table is refused.
-        Some(Err(e)) => eprintln!("cannot render the figure table: {e}"),
-        None => {}
+        Err(e) => eprintln!("cannot render the figure table: {e}"),
     }
 
     // Artifacts are written before the invariant gate so a failing grid still

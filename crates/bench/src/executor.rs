@@ -3,13 +3,13 @@
 //! *builder* (an [`ExecutorBuilder`]), instead of a hard-coded enum with
 //! per-variant dispatch scattered across the engine.
 //!
-//! A family descriptor carries the machine's stable name (which enters store
-//! keys and every emitted artifact), its capability flags (which scenario
+//! A family descriptor carries the machine's stable name (which enters
+//! labels and every emitted artifact), its capability flags (which scenario
 //! axes it consumes), its [`MachineKind`] power binding, and the preset tags
 //! that place it in the scenario presets. The builder turns one grid point's
 //! machine-independent [`CellAxes`] into a boxed [`Executor`] that owns the
 //! fully-resolved machine configuration and knows how to validate it, derive
-//! its content address, and run (or replay) it.
+//! its content address, and simulate (or replay) it.
 //!
 //! [`Machine`] is a thin copyable handle over a registered family. The
 //! associated constants ([`Machine::Baseline`], [`Machine::Flywheel`], …)
@@ -19,10 +19,12 @@
 //! family drops into scenarios, the result store, reports, invariants and
 //! telemetry with zero changes in those layers.
 //!
-//! Store-key compatibility is load-bearing: for the pre-registry families
-//! the executor derives byte-for-byte the same content address the old
-//! `baseline_key`/`flywheel_key` paths produced (pinned by tests here and in
-//! [`crate::store`]), so generalizing the dispatch moved no stored result.
+//! Store keys name the *simulator* an executor runs ([`Executor::simulator`]),
+//! not the registry label: every structural variant the baseline and Flywheel
+//! builders produce keys as `baseline` or `flywheel`, and the configuration's
+//! `Debug` rendering tells the variants apart. A cell therefore has one
+//! address whichever family or figure asks for it (pinned by the tests here
+//! and in [`crate::store`]).
 
 use crate::store::{self, RunStats, StoreKey};
 use crate::telemetry;
@@ -70,8 +72,16 @@ pub trait ExecutorBuilder: Sync {
 /// resolved: the single object the scenario engine talks to instead of
 /// matching on machine variants.
 pub trait Executor {
-    /// The registered family name (enters store keys, labels and emitters).
+    /// The registered family name (enters labels and emitters).
     fn family_name(&self) -> &'static str;
+
+    /// The name of the simulator this executor drives, which enters the
+    /// store key. Defaults to the family name; the baseline and Flywheel
+    /// builders name their kernel instead, so a structural variant keys like
+    /// any other configuration of the same simulator.
+    fn simulator(&self) -> &'static str {
+        self.family_name()
+    }
 
     /// The grid point this executor was built for.
     fn axes(&self) -> &CellAxes;
@@ -96,13 +106,13 @@ pub trait Executor {
     /// cursors replay bit-identically.
     fn replay(&self, cursor: TraceCursor<'_>, budget: SimBudget) -> RunStats;
 
-    /// The content address of this cell at `budget`: a hash of the family
-    /// name, the full machine configuration, workload, seed, budget and the
-    /// code-version salt (see [`crate::store`]).
+    /// The content address of this cell at `budget`: a hash of the
+    /// simulator name, the full machine configuration, workload, seed, budget
+    /// and the code-version salt (see [`crate::store`]).
     fn key(&self, budget: SimBudget) -> StoreKey {
         let a = self.axes();
         store::family_key(
-            self.family_name(),
+            self.simulator(),
             &self.config_debug(),
             a.bench,
             a.seed,
@@ -110,30 +120,11 @@ pub trait Executor {
         )
     }
 
-    /// Runs the cell against the shared recorded trace of its
-    /// `(benchmark, seed)` pair, recalling it from the process-global result
-    /// store instead when one is installed (records round-trip
-    /// bit-identically, so callers cannot tell the difference).
-    fn run(&self, budget: SimBudget) -> RunStats {
-        if store::global_store_installed() {
-            let key = self.key(budget);
-            if let Some(hit) = store::global_get(&key) {
-                return hit;
-            }
-            let r = self.simulate(budget);
-            let a = self.axes();
-            let label = store::cell_label(self.family_name(), a.bench, a.seed);
-            store::global_put(key, &label, r.clone());
-            return r;
-        }
-        self.simulate(budget)
-    }
-
-    /// Simulates the cell against the shared recorded trace, bypassing every
-    /// store: the single choke point through which this family's simulations
-    /// run (and are counted, and telemetry-tagged).
+    /// Simulates the cell against the shared recorded trace of its
+    /// `(benchmark, seed)` pair, bypassing every store: the single choke
+    /// point through which every cell simulation runs (and is
+    /// telemetry-tagged).
     fn simulate(&self, budget: SimBudget) -> RunStats {
-        store::count_simulation();
         let a = *self.axes();
         let trace = crate::shared_trace(a.bench, a.seed, budget);
         // When a telemetry sink is installed, arm the thread-local recorder
@@ -154,7 +145,9 @@ pub trait Executor {
 /// executors.
 pub struct MachineFamily {
     /// Stable name, as used by the `scenarios` CLI, the store labels and the
-    /// emitters. Renaming a family orphans its stored results — don't.
+    /// emitters. Families whose executor keys by family name (see
+    /// [`Executor::simulator`]) orphan their stored results when renamed —
+    /// don't.
     pub name: &'static str,
     /// One-line human description (the `list-machines` subcommand prints it).
     pub summary: &'static str,
@@ -232,7 +225,7 @@ const FLYWHEEL: MachineFamily = MachineFamily {
     kind: MachineKind::Flywheel,
     uses_clock_axis: true,
     uses_ec_axis: true,
-    presets: &["default", "fig11", "dvfs"],
+    presets: &["default", "fig11", "ec_residency", "dvfs"],
     builder: &FlywheelBuilder {
         name: "flywheel",
         execution_cache: true,
@@ -436,6 +429,9 @@ impl Executor for BaselineExec {
     fn family_name(&self) -> &'static str {
         self.name
     }
+    fn simulator(&self) -> &'static str {
+        "baseline"
+    }
     fn axes(&self) -> &CellAxes {
         &self.axes
     }
@@ -486,6 +482,9 @@ struct FlywheelExec {
 impl Executor for FlywheelExec {
     fn family_name(&self) -> &'static str {
         self.name
+    }
+    fn simulator(&self) -> &'static str {
+        "flywheel"
     }
     fn axes(&self) -> &CellAxes {
         &self.axes
@@ -631,6 +630,7 @@ mod tests {
             ["baseline", "baseline-extra-fe", "baseline-piped-wakeup"]
         );
         assert_eq!(names("fig11"), ["baseline", "regalloc", "flywheel"]);
+        assert_eq!(names("ec_residency"), ["flywheel"]);
         assert_eq!(names("multidomain"), ["baseline", "multidomain"]);
         assert_eq!(names("dvfs"), ["baseline", "flywheel", "dvfs"]);
         assert!(names("no-such-tag").is_empty());
@@ -671,28 +671,39 @@ mod tests {
 
     #[test]
     fn executor_keys_pin_the_legacy_derivation() {
+        // Keys name the simulator, not the family: every baseline variant
+        // keys as `baseline` and every Flywheel variant as `flywheel`, with
+        // the full configuration telling them apart.
         let axes = paper_axes();
         let budget = SimBudget::new(500, 2_000);
-        let base = Machine::Baseline.family().builder.build(&axes);
-        assert_eq!(
-            base.key(budget),
-            store::baseline_key(
-                &BaselineConfig::paper(TechNode::N130),
-                axes.bench,
-                42,
-                budget
+        let key = |sim: &str, cfg: &dyn std::fmt::Debug| {
+            store::family_key(sim, &format!("{cfg:?}"), axes.bench, 42, budget)
+        };
+        let paper = BaselineConfig::paper(TechNode::N130);
+        for (m, want) in [
+            (Machine::Baseline, key("baseline", &paper)),
+            (
+                Machine::BaselineExtraFe,
+                key("baseline", &paper.clone().with_extra_frontend_stage()),
             ),
-        );
-        let fly = Machine::Flywheel.family().builder.build(&axes);
-        assert_eq!(
-            fly.key(budget),
-            store::flywheel_key(
-                &FlywheelConfig::paper_iso_clock(TechNode::N130),
-                axes.bench,
-                42,
-                budget,
+            (
+                Machine::BaselinePipedWakeup,
+                key("baseline", &paper.clone().with_pipelined_wakeup()),
             ),
-        );
+            (
+                Machine::Flywheel,
+                key("flywheel", &FlywheelConfig::paper_iso_clock(TechNode::N130)),
+            ),
+            (
+                Machine::RegAlloc,
+                key(
+                    "flywheel",
+                    &FlywheelConfig::register_allocation_only(TechNode::N130),
+                ),
+            ),
+        ] {
+            assert_eq!(m.family().builder.build(&axes).key(budget), want, "{m}");
+        }
         // Every family derives a distinct key at the same grid point.
         let keys: std::collections::HashSet<StoreKey> = Machine::all()
             .iter()
@@ -706,18 +717,22 @@ mod tests {
         let mut axes = paper_axes();
         axes.bench = Benchmark::PtrChase; // load-latency sensitive
         let budget = SimBudget::new(500, 2_000);
-        let base = Machine::Baseline.family().builder.build(&axes).run(budget);
+        let base = Machine::Baseline
+            .family()
+            .builder
+            .build(&axes)
+            .simulate(budget);
         let multi = Machine::MultiDomain
             .family()
             .builder
             .build(&axes)
-            .run(budget);
+            .simulate(budget);
         assert!(base.flywheel.is_none() && multi.flywheel.is_none());
         assert_ne!(
             base.sim, multi.sim,
             "the LSQ domain must change load timing on a pointer chase"
         );
-        let dvfs = Machine::Dvfs.family().builder.build(&axes).run(budget);
+        let dvfs = Machine::Dvfs.family().builder.build(&axes).simulate(budget);
         assert!(dvfs.flywheel.is_some(), "DVFS is a Flywheel-kind machine");
     }
 }

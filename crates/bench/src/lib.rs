@@ -1,13 +1,15 @@
 //! # flywheel-bench
 //!
-//! Shared experiment harness used by the `experiments` binary and the Criterion
-//! benches to regenerate every table and figure of the paper's evaluation.
+//! The experiment harness that regenerates every table and figure of the
+//! paper's evaluation.
 //!
-//! Each experiment runs the baseline machine and one or more Flywheel configurations
-//! over the paper's benchmark suite and reports the same normalized quantities the
-//! paper plots (relative performance, energy and power). Budgets are configurable so
-//! the same code serves quick benches and the full experiment runs recorded in
-//! EXPERIMENTS.md.
+//! Each figure is a [`scenario`] preset — a grid of baseline and Flywheel
+//! cells over the paper's benchmark suite — plus one renderer on
+//! [`scenario::ScenarioRun`] that reports the normalized quantities the paper
+//! plots (relative performance, energy and power). Every cell runs through
+//! [`executor::Executor::simulate`] and is memoized in the content-addressed
+//! [`store`]. The `experiments` and `scenarios` binaries and the
+//! `flywheel-report` crate all render through that one path.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,14 +24,10 @@ pub mod store;
 pub mod supervisor;
 pub mod telemetry;
 
-use flywheel_core::{FlywheelConfig, FlywheelResult, FlywheelSim};
-use flywheel_timing::TechNode;
-use flywheel_uarch::{BaselineConfig, BaselineSim, SimBudget, SimResult};
+use flywheel_uarch::SimBudget;
 use flywheel_workloads::{Benchmark, RecordedTrace, SyntheticProgram};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-
-pub use store::simulations_performed;
 
 /// Seed used for every experiment (results are deterministic).
 pub const EXPERIMENT_SEED: u64 = 2005;
@@ -92,108 +90,6 @@ pub fn shared_trace(bench: Benchmark, seed: u64, budget: SimBudget) -> Arc<Recor
     trace
 }
 
-/// Runs the baseline machine on `bench` at `node`.
-pub fn run_baseline(bench: Benchmark, node: TechNode, budget: SimBudget) -> SimResult {
-    run_baseline_with(bench, BaselineConfig::paper(node), budget)
-}
-
-/// Runs a baseline variant (used by the Figure 2 pipeline-loop study) at the
-/// shared experiment seed.
-pub fn run_baseline_with(bench: Benchmark, cfg: BaselineConfig, budget: SimBudget) -> SimResult {
-    run_baseline_cfg(bench, EXPERIMENT_SEED, cfg, budget)
-}
-
-/// Runs a Flywheel configuration on `bench` at the shared experiment seed.
-pub fn run_flywheel(bench: Benchmark, cfg: FlywheelConfig, budget: SimBudget) -> FlywheelResult {
-    run_flywheel_cfg(bench, EXPERIMENT_SEED, cfg, budget)
-}
-
-/// Simulates one baseline-machine cell, bypassing every store. The single
-/// choke point through which all baseline simulations run (and are counted).
-fn simulate_baseline(
-    bench: Benchmark,
-    seed: u64,
-    cfg: BaselineConfig,
-    budget: SimBudget,
-) -> SimResult {
-    store::count_simulation();
-    let trace = shared_trace(bench, seed, budget);
-    // When a telemetry sink is installed, arm the thread-local recorder for
-    // this cell, tagged with the same content address the store files the
-    // cell under. Disarmed cost: one atomic load.
-    let _telemetry = telemetry::arm_cell(|| {
-        (
-            store::baseline_key(&cfg, bench, seed, budget),
-            store::cell_label("baseline", bench, seed),
-        )
-    });
-    BaselineSim::new(cfg, trace.cursor()).run(budget)
-}
-
-/// Simulates one Flywheel-machine cell, bypassing every store.
-fn simulate_flywheel(
-    bench: Benchmark,
-    seed: u64,
-    cfg: FlywheelConfig,
-    budget: SimBudget,
-) -> FlywheelResult {
-    store::count_simulation();
-    let trace = shared_trace(bench, seed, budget);
-    let _telemetry = telemetry::arm_cell(|| {
-        (
-            store::flywheel_key(&cfg, bench, seed, budget),
-            store::cell_label("flywheel", bench, seed),
-        )
-    });
-    FlywheelSim::new(cfg, trace.cursor()).run(budget)
-}
-
-/// Runs (or recalls) a baseline-machine cell at an explicit seed.
-///
-/// When a process-global [`store::ResultStore`] is installed (the binaries'
-/// `--store` flag), the cell's content address is looked up first and a hit is
-/// returned without simulating — the record round-trips bit-identically, so
-/// callers cannot tell the difference.
-pub fn run_baseline_cfg(
-    bench: Benchmark,
-    seed: u64,
-    cfg: BaselineConfig,
-    budget: SimBudget,
-) -> SimResult {
-    if store::global_store_installed() {
-        let key = store::baseline_key(&cfg, bench, seed, budget);
-        if let Some(hit) = store::global_get(&key) {
-            return hit.sim;
-        }
-        let r = simulate_baseline(bench, seed, cfg, budget);
-        let label = store::cell_label("baseline", bench, seed);
-        store::global_put(key, &label, store::RunStats::from_baseline(r.clone()));
-        return r;
-    }
-    simulate_baseline(bench, seed, cfg, budget)
-}
-
-/// Runs (or recalls) a Flywheel-machine cell at an explicit seed. See
-/// [`run_baseline_cfg`] for the store semantics.
-pub fn run_flywheel_cfg(
-    bench: Benchmark,
-    seed: u64,
-    cfg: FlywheelConfig,
-    budget: SimBudget,
-) -> FlywheelResult {
-    if store::global_store_installed() {
-        let key = store::flywheel_key(&cfg, bench, seed, budget);
-        if let Some(r) = store::global_get(&key).and_then(|s| s.to_flywheel_result()) {
-            return r;
-        }
-        let r = simulate_flywheel(bench, seed, cfg, budget);
-        let label = store::cell_label("flywheel", bench, seed);
-        store::global_put(key, &label, store::RunStats::from_flywheel(&r));
-        return r;
-    }
-    simulate_flywheel(bench, seed, cfg, budget)
-}
-
 /// One row of a per-benchmark, per-configuration result table.
 #[derive(Debug, Clone)]
 pub struct Row {
@@ -205,9 +101,9 @@ pub struct Row {
 
 /// Renders a table of rows plus their average row, Figure-style, to a string.
 ///
-/// This is the single formatting path for figure tables: both the
-/// `experiments` binary and the scenario engine's figure presets render
-/// through it, which is what makes their outputs byte-comparable.
+/// The single formatting path for figure tables: every figure renderer on
+/// [`scenario::ScenarioRun`] formats through it, whether the `experiments`
+/// binary, the `scenarios` binary or `flywheel-report` asked for the table.
 pub fn format_table(title: &str, columns: &[String], rows: &[Row]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -232,11 +128,6 @@ pub fn format_table(title: &str, columns: &[String], rows: &[Row]) -> String {
     }
     let _ = writeln!(out);
     out
-}
-
-/// Prints a table of rows plus their geometric-mean/average row, Figure-style.
-pub fn print_table(title: &str, columns: &[String], rows: &[Row]) {
-    print!("{}", format_table(title, columns, rows));
 }
 
 /// Applies `f` to every item on a pool of scoped worker threads and returns the
@@ -338,18 +229,35 @@ pub fn experiment_budget() -> SimBudget {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::Machine;
+    use crate::scenario::ScenarioCell;
+    use flywheel_timing::TechNode;
+    use flywheel_uarch::{BaselineConfig, BaselineSim};
+
+    /// Simulates one paper-point cell of `machine` through its executor.
+    fn simulate(machine: Machine, fe_pct: u32, budget: SimBudget) -> store::RunStats {
+        let cell = ScenarioCell {
+            bench: Benchmark::Micro,
+            seed: EXPERIMENT_SEED,
+            machine,
+            node: TechNode::N130,
+            fe_pct,
+            be_pct: if fe_pct == 0 { 0 } else { 50 },
+            iw_entries: 128,
+            rob_entries: 128,
+            ec_kb: 128,
+            mem_cycles: 100,
+        };
+        cell.executor().simulate(budget)
+    }
 
     #[test]
     fn harness_runs_a_tiny_experiment_end_to_end() {
         let budget = SimBudget::new(1_000, 5_000);
-        let base = run_baseline(Benchmark::Micro, TechNode::N130, budget);
-        let fly = run_flywheel(
-            Benchmark::Micro,
-            FlywheelConfig::paper_iso_clock(TechNode::N130),
-            budget,
-        );
-        assert_eq!(base.instructions, fly.sim.instructions);
-        assert!(fly.speedup_over(&base) > 0.2);
+        let base = simulate(Machine::Baseline, 0, budget);
+        let fly = simulate(Machine::Flywheel, 0, budget);
+        assert_eq!(base.sim.instructions, fly.sim.instructions);
+        assert!(fly.sim.speedup_over(&base.sim) > 0.2);
     }
 
     #[test]
@@ -365,18 +273,15 @@ mod tests {
             TraceGenerator::new(&program, EXPERIMENT_SEED),
         )
         .run(budget);
-        let cached = run_baseline(Benchmark::Micro, TechNode::N130, budget);
-        assert_eq!(direct, cached);
+        let cached = simulate(Machine::Baseline, 0, budget);
+        assert_eq!(direct, cached.sim);
         // Grow the cached capture, then re-run the small budget.
         let _ = shared_trace(
             Benchmark::Micro,
             EXPERIMENT_SEED,
             SimBudget::new(2_000, 10_000),
         );
-        assert_eq!(
-            direct,
-            run_baseline(Benchmark::Micro, TechNode::N130, budget)
-        );
+        assert_eq!(direct, simulate(Machine::Baseline, 0, budget).sim);
     }
 
     #[test]
@@ -406,16 +311,11 @@ mod tests {
         // The sweep cells must be bitwise independent of scheduling: the same
         // simulation run on a worker thread gives the same result as inline.
         let budget = SimBudget::new(1_000, 4_000);
-        let cells: Vec<(Benchmark, u32)> = vec![(Benchmark::Micro, 0), (Benchmark::Micro, 50)];
-        let parallel = parallel_map(&cells, |&(b, fe)| {
-            run_flywheel(b, FlywheelConfig::paper(TechNode::N130, fe, 50), budget)
-        });
-        for (i, &(b, fe)) in cells.iter().enumerate() {
-            let serial = run_flywheel(b, FlywheelConfig::paper(TechNode::N130, fe, 50), budget);
-            assert_eq!(
-                serial, parallel[i],
-                "cell {b}/FE{fe} diverged across threads"
-            );
+        let cells = [0, 50];
+        let parallel = parallel_map(&cells, |&fe| simulate(Machine::Flywheel, fe, budget));
+        for (i, &fe) in cells.iter().enumerate() {
+            let serial = simulate(Machine::Flywheel, fe, budget);
+            assert_eq!(serial, parallel[i], "cell FE{fe} diverged across threads");
         }
     }
 

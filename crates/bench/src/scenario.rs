@@ -1,7 +1,6 @@
 //! Declarative scenario engine: describe a sweep as axes, run it as a grid.
 //!
-//! The `experiments` binary hard-codes the paper's five figure sweeps. A
-//! [`Scenario`] instead *describes* a sweep — which machines, which workloads,
+//! A [`Scenario`] *describes* a sweep — which machines, which workloads,
 //! which machine-configuration axes (technology node, clock-domain ratios,
 //! issue-window/ROB sizes, Execution Cache geometry, memory latency), which
 //! seeds and instruction budget — and the engine expands the description into a
@@ -10,19 +9,23 @@
 //! recorded-trace cache, and returns a [`ScenarioRun`] that can be checked
 //! against machine invariants and emitted as JSON or CSV.
 //!
-//! The paper's figure sweeps are expressible as presets ([`Scenario::fig2`],
-//! [`Scenario::fig11`], [`Scenario::fig12`]) whose rendered tables are
-//! byte-identical to the `experiments` binary's output — the engine is a strict
-//! generalisation, proven by the `scenario_figures` tests. The
-//! [`Scenario::leakage`] preset sweeps technology node x machine x Execution
-//! Cache capacity, exercising the attributed leakage model of PR 5 on every
-//! cell ([`check_cell_invariants`] recomputes each cell's per-category leakage
-//! from the machine-aware power model and rejects any disagreement).
+//! Every figure of the paper's evaluation is a preset ([`Scenario::fig2`],
+//! [`Scenario::fig11`], [`Scenario::fig12`], [`Scenario::fig15`],
+//! [`Scenario::ec_residency`]) plus one renderer on [`ScenarioRun`]
+//! ([`ScenarioRun::figure_tables`]). [`Scenario::preset`] is the one table of
+//! preset names, shared by the spec grammar, the `scenarios` and
+//! `experiments` binaries and `flywheel-report`, so each figure is defined
+//! exactly once. The [`Scenario::leakage`] preset sweeps technology node x
+//! machine x Execution Cache capacity, exercising the attributed leakage
+//! model on every cell ([`check_cell_invariants`] recomputes each cell's
+//! per-category leakage from the machine-aware power model and rejects any
+//! disagreement).
 //!
-//! Every cell is a deterministic, independent simulation: the same scenario
-//! always produces the same results regardless of worker count
-//! ([`Scenario::run_with_jobs`] with 1 vs N workers is byte-identical; enforced
-//! by the `parallel_identity` integration test).
+//! Every cell is a deterministic, independent simulation through
+//! [`Executor::simulate`]: the same scenario always produces the same results
+//! regardless of worker count ([`Scenario::run_with_jobs`] with 1 vs N
+//! workers is byte-identical; enforced by the `parallel_identity` integration
+//! test).
 //!
 //! Execution is fault-tolerant: every cell runs under `catch_unwind` with an
 //! armed watchdog budget (cycle cap plus optional wall-clock deadline), so a
@@ -39,7 +42,7 @@ use crate::executor::{machines_for_preset, CellAxes, Executor};
 use crate::fault;
 use crate::stats::Aggregate;
 use crate::store::{ResultStore, RunStats, StoreKey, StoreSummary};
-use crate::{format_table, parallel_map_jobs, worker_count, Row, EXPERIMENT_SEED};
+use crate::{format_table, parallel_map_jobs, worker_count, Row, CLOCK_SWEEP, EXPERIMENT_SEED};
 use flywheel_core::FlywheelStats;
 use flywheel_power::{PowerModel, UnitCategory};
 use flywheel_timing::TechNode;
@@ -136,11 +139,53 @@ impl Scenario {
     }
 
     /// The Figure 12 preset: the front-end clock sweep with the back-end at
-    /// +50%, normalized to the synchronous baseline.
+    /// +50%, normalized to the synchronous baseline. Figures 13 and 14 are
+    /// the energy and power views of the same run.
     pub fn fig12(budget: SimBudget) -> Self {
         let mut s = Scenario::new("fig12", budget);
-        s.clocks = crate::CLOCK_SWEEP.to_vec();
+        s.clocks = CLOCK_SWEEP.to_vec();
         s
+    }
+
+    /// The Figure 15 preset: the baseline and Flywheel at the paper's
+    /// FE +100 %, BE +50 % point on every power-study technology node. The
+    /// per-node leakage-attribution tables are views of the same run.
+    pub fn fig15(budget: SimBudget) -> Self {
+        let mut s = Scenario::new("fig15", budget);
+        s.nodes = TechNode::power_study_nodes().to_vec();
+        s.clocks = vec![FIG15_CLOCK];
+        s
+    }
+
+    /// The Execution-Cache residency preset: the Flywheel machine alone at
+    /// the baseline clock.
+    pub fn ec_residency(budget: SimBudget) -> Self {
+        let mut s = Scenario::new("ec_residency", budget);
+        s.machines = machines_for_preset("ec_residency");
+        s
+    }
+
+    /// The named preset at `budget` — the one table of preset names (see
+    /// [`Scenario::preset_names`]); `None` for an unknown name.
+    pub fn preset(name: &str, budget: SimBudget) -> Option<Scenario> {
+        PRESETS
+            .iter()
+            .find(|p| p.name == name)
+            .map(|p| (p.build)(budget))
+    }
+
+    /// Every preset name, in table order.
+    pub fn preset_names() -> impl Iterator<Item = &'static str> {
+        PRESETS.iter().map(|p| p.name)
+    }
+
+    /// The paper-figure presets — those whose runs render figure tables
+    /// ([`ScenarioRun::figure_tables`]) — in the paper's order.
+    pub fn figure_names() -> impl Iterator<Item = &'static str> {
+        PRESETS
+            .iter()
+            .filter(|p| p.tables.is_some())
+            .map(|p| p.name)
     }
 
     /// A small grid over the stress workloads used by CI as a smoke test: three
@@ -175,10 +220,8 @@ impl Scenario {
     /// grid is the sweep that demonstrates (and guards) the widened
     /// baseline-vs-Flywheel leakage gap across nodes and EC geometries.
     pub fn leakage(budget: SimBudget) -> Self {
-        let mut s = Scenario::new("leakage", budget);
-        s.machines = machines_for_preset("default");
-        s.nodes = TechNode::power_study_nodes().to_vec();
-        s.clocks = vec![(100, 50)];
+        let mut s = Scenario::fig15(budget);
+        s.name = "leakage".to_owned();
         s.ec_kb = vec![64, 128, 256];
         s
     }
@@ -300,11 +343,6 @@ impl Scenario {
         self.expand().len()
     }
 
-    /// Total instructions the grid simulates (cells × per-cell budget).
-    pub fn simulated_instructions(&self) -> u64 {
-        self.cell_count() as u64 * self.budget.total()
-    }
-
     /// Runs the grid across all available cores (`FLYWHEEL_JOBS` caps the
     /// worker count, exactly like the `experiments` sweeps).
     pub fn run(&self) -> ScenarioRun {
@@ -316,24 +354,8 @@ impl Scenario {
     /// bounded retries are reported in the run's failed-cell manifest; the
     /// sweep itself always completes.
     pub fn run_with_jobs(&self, jobs: usize) -> ScenarioRun {
-        fault::maybe_install_from_env();
-        let grid = self.expand();
-        let budget = self.budget;
-        let (slots, failed) = execute_cells(&grid, budget, jobs);
-        let mut cells = Vec::with_capacity(grid.len());
-        let mut results = Vec::with_capacity(grid.len());
-        for (cell, slot) in grid.into_iter().zip(slots) {
-            if let Some(r) = slot {
-                cells.push(cell);
-                results.push(r);
-            }
-        }
-        ScenarioRun {
-            scenario: self.clone(),
-            cells,
-            results,
-            failed,
-        }
+        self.run_with_store_jobs(&mut ResultStore::in_memory(), jobs)
+            .0
     }
 
     /// Runs the grid incrementally against a result store: cells whose content
@@ -429,6 +451,78 @@ impl Scenario {
         )
     }
 }
+
+/// The clock point of Figure 15 and its leakage views: FE +100 %, BE +50 %.
+const FIG15_CLOCK: (u32, u32) = (100, 50);
+
+/// Renders the tables of one figure preset's run.
+type FigureRenderer = fn(&ScenarioRun) -> Result<String, String>;
+
+/// One named preset: how it builds its grid at a budget and, for the paper's
+/// figures, how its run renders the figure tables.
+struct Preset {
+    name: &'static str,
+    build: fn(SimBudget) -> Scenario,
+    tables: Option<FigureRenderer>,
+}
+
+/// Every preset name, spelled once: [`Scenario::preset`] and
+/// [`ScenarioRun::figure_tables`] resolve through this table.
+const PRESETS: &[Preset] = &[
+    Preset {
+        name: "fig2",
+        build: Scenario::fig2,
+        tables: Some(ScenarioRun::fig2_table),
+    },
+    Preset {
+        name: "fig11",
+        build: Scenario::fig11,
+        tables: Some(ScenarioRun::fig11_table),
+    },
+    Preset {
+        name: "fig12",
+        build: Scenario::fig12,
+        tables: Some(ScenarioRun::clock_sweep_tables),
+    },
+    Preset {
+        name: "fig15",
+        build: Scenario::fig15,
+        tables: Some(ScenarioRun::fig15_tables),
+    },
+    Preset {
+        name: "ec_residency",
+        build: Scenario::ec_residency,
+        tables: Some(ScenarioRun::ec_residency_table),
+    },
+    Preset {
+        name: "smoke",
+        build: |budget| Scenario {
+            budget,
+            ..Scenario::smoke()
+        },
+        tables: None,
+    },
+    Preset {
+        name: "stress",
+        build: Scenario::stress,
+        tables: None,
+    },
+    Preset {
+        name: "leakage",
+        build: Scenario::leakage,
+        tables: None,
+    },
+    Preset {
+        name: "multidomain",
+        build: Scenario::multidomain,
+        tables: None,
+    },
+    Preset {
+        name: "dvfs",
+        build: Scenario::dvfs,
+        tables: None,
+    },
+];
 
 /// How often a failing cell is attempted in total (one initial run plus
 /// bounded retries — enough to recover any single-shot transient failure
@@ -639,8 +733,7 @@ impl ScenarioCell {
     /// The executor for this cell: the cell's machine family resolved at the
     /// cell's axes, owning the full machine configuration. With every axis at
     /// its paper default the resolved configuration is exactly the paper
-    /// machine (plus the family's structural knob), which is what makes the
-    /// figure presets byte-identical to the `experiments` binary.
+    /// machine (plus the family's structural knob).
     pub fn executor(&self) -> Box<dyn Executor> {
         self.machine.family().builder.build(&self.axes())
     }
@@ -650,18 +743,17 @@ impl ScenarioCell {
         self.executor().validate()
     }
 
-    /// The content address of this cell at `budget`: a hash of the machine
-    /// family, its full configuration, workload, seed, budget, and the
-    /// code-version salt (see [`crate::store`]).
+    /// The content address of this cell at `budget`: a hash of the
+    /// simulator, its full configuration, workload, seed, budget, and the
+    /// code-version salt (see [`Executor::key`]).
     pub fn key(&self, budget: SimBudget) -> StoreKey {
         self.executor().key(budget)
     }
 
-    /// Runs the cell against the shared recorded trace of its
-    /// `(benchmark, seed)` pair (recalling it from the process-global result
-    /// store instead, when one is installed).
+    /// Simulates the cell against the shared recorded trace of its
+    /// `(benchmark, seed)` pair (see [`Executor::simulate`]).
     pub fn run(&self, budget: SimBudget) -> CellResult {
-        let r = self.executor().run(budget);
+        let r = self.executor().simulate(budget);
         CellResult {
             sim: r.sim,
             flywheel: r.flywheel,
@@ -1117,32 +1209,54 @@ impl ScenarioRun {
         Ok(())
     }
 
-    /// The result of the first cell matching `(bench, machine, fe, be)`, if
-    /// present in the grid.
-    pub fn result_for(
+    /// The result at grid point `(bench, seed, machine, node, clock)`: the
+    /// first succeeded cell there (every figure grid holds a single window,
+    /// EC and memory point).
+    pub fn result_at(
         &self,
         bench: Benchmark,
+        seed: u64,
         machine: Machine,
-        fe_pct: u32,
-        be_pct: u32,
-    ) -> Option<&CellResult> {
+        node: TechNode,
+        (fe_pct, be_pct): (u32, u32),
+    ) -> Result<&CellResult, String> {
         self.cells
             .iter()
             .position(|c| {
-                c.bench == bench && c.machine == machine && c.fe_pct == fe_pct && c.be_pct == be_pct
+                (c.bench, c.seed, c.machine, c.node, c.fe_pct, c.be_pct)
+                    == (bench, seed, machine, node, fe_pct, be_pct)
             })
             .map(|i| &self.results[i])
+            .ok_or_else(|| {
+                format!("no ({bench}, s{seed}, {machine}, {node}, FE{fe_pct}/BE{be_pct}) cell in the grid")
+            })
     }
 
-    /// Checks that the grid can support a figure table: every non-machine,
-    /// non-clock axis must be pinned to the paper's single point (otherwise the
-    /// rendered output would carry a paper-figure title while describing a
-    /// different machine, or `result_for` would silently pick the first
-    /// matching cell of a multi-point grid), and every machine the table reads
-    /// must be in the grid.
+    /// The figure tables this run's preset renders (nothing for presets that
+    /// are not paper figures). Fails, instead of mislabelling the output,
+    /// when the grid cannot support them: every axis the figure does not
+    /// sweep must sit at its preset's point, and every cell it reads must
+    /// have succeeded.
+    pub fn figure_tables(&self) -> Result<String, String> {
+        match PRESETS
+            .iter()
+            .find(|p| p.name == self.scenario.name)
+            .and_then(|p| p.tables)
+        {
+            Some(render) => render(self),
+            None => Ok(String::new()),
+        }
+    }
+
+    /// Checks that the grid can support `figure`'s tables: the seed, node,
+    /// window, EC, memory and baseline-clock axes must equal the figure
+    /// preset's (otherwise the output would carry a paper-figure title while
+    /// describing a different machine, or a lookup would silently pick one
+    /// point of a multi-point axis), and every machine the table reads must
+    /// be in the grid.
     fn figure_grid_guard(&self, figure: &str, machines: &[Machine]) -> Result<(), String> {
         let s = &self.scenario;
-        let paper = Scenario::new(&s.name, s.budget);
+        let paper = Scenario::preset(figure, s.budget).expect("figure presets are registered");
         let fmt_axis = |v: &dyn std::fmt::Debug| format!("{v:?}");
         for (axis, got, want) in [
             ("seeds", fmt_axis(&s.seeds), fmt_axis(&paper.seeds)),
@@ -1179,28 +1293,46 @@ impl ScenarioRun {
         Ok(())
     }
 
-    fn reference_baseline(&self, bench: Benchmark) -> Result<&SimResult, String> {
-        let (fe, be) = self.scenario.baseline_clock;
-        self.result_for(bench, Machine::Baseline, fe, be)
-            .map(|r| &r.sim)
-            .ok_or_else(|| format!("no baseline reference cell for '{bench}' in the grid"))
-    }
-
-    fn required(
+    /// A cell of a guarded figure grid, whose seed axis is a single point.
+    fn figure_cell(
         &self,
         bench: Benchmark,
-        m: Machine,
-        fe: u32,
-        be: u32,
-    ) -> Result<&SimResult, String> {
-        self.result_for(bench, m, fe, be)
-            .map(|r| &r.sim)
-            .ok_or_else(|| format!("no ({bench}, {m}, FE{fe}/BE{be}) cell in the grid"))
+        machine: Machine,
+        node: TechNode,
+        clock: (u32, u32),
+    ) -> Result<&CellResult, String> {
+        self.result_at(bench, self.scenario.seeds[0], machine, node, clock)
     }
 
-    /// Renders the Figure 2 table from a [`Scenario::fig2`] run — byte-identical
-    /// to `experiments fig2` at the same budget. Fails (instead of mislabelling
-    /// the output) when the grid lacks the cells the figure needs.
+    /// The baseline reference of `bench` at `node` in a guarded figure grid.
+    fn reference(&self, bench: Benchmark, node: TechNode) -> Result<&SimResult, String> {
+        let clock = self.scenario.baseline_clock;
+        Ok(&self.figure_cell(bench, Machine::Baseline, node, clock)?.sim)
+    }
+
+    /// Formats a figure table with one row per benchmark of the grid.
+    fn figure_table(
+        &self,
+        title: &str,
+        columns: &[String],
+        values: impl Fn(Benchmark) -> Result<Vec<f64>, String>,
+    ) -> Result<String, String> {
+        let rows = self
+            .scenario
+            .benchmarks
+            .iter()
+            .map(|&bench| {
+                Ok(Row {
+                    bench: bench.name(),
+                    values: values(bench)?,
+                })
+            })
+            .collect::<Result<Vec<Row>, String>>()?;
+        Ok(format_table(title, columns, &rows))
+    }
+
+    /// Renders the Figure 2 table from a [`Scenario::fig2`] run: the runtime
+    /// cost of each stretched pipeline loop over the baseline.
     pub fn fig2_table(&self) -> Result<String, String> {
         self.figure_grid_guard(
             "fig2",
@@ -1210,90 +1342,192 @@ impl ScenarioRun {
                 Machine::BaselinePipedWakeup,
             ],
         )?;
-        let columns = vec!["fetch+1 %".to_owned(), "wakeup/sel %".to_owned()];
-        let (fe, be) = self.scenario.baseline_clock;
-        let mut rows = Vec::new();
-        for &bench in &self.scenario.benchmarks {
-            let base = self.reference_baseline(bench)?;
-            let degradation = |m: Machine| -> Result<f64, String> {
-                let v = self.required(bench, m, fe, be)?;
-                Ok((v.elapsed_ps as f64 / base.elapsed_ps as f64 - 1.0) * 100.0)
-            };
-            rows.push(Row {
-                bench: bench.name(),
-                values: vec![
-                    degradation(Machine::BaselineExtraFe)?,
-                    degradation(Machine::BaselinePipedWakeup)?,
-                ],
-            });
-        }
-        Ok(format_table(
+        let (node, clock) = (self.scenario.nodes[0], self.scenario.baseline_clock);
+        self.figure_table(
             "Figure 2: performance degradation (%) from pipeline-loop stretching",
-            &columns,
-            &rows,
-        ))
+            &["fetch+1 %".to_owned(), "wakeup/sel %".to_owned()],
+            |bench| {
+                let base = self.reference(bench, node)?;
+                [Machine::BaselineExtraFe, Machine::BaselinePipedWakeup]
+                    .into_iter()
+                    .map(|m| {
+                        let v = &self.figure_cell(bench, m, node, clock)?.sim;
+                        Ok((v.elapsed_ps as f64 / base.elapsed_ps as f64 - 1.0) * 100.0)
+                    })
+                    .collect()
+            },
+        )
     }
 
-    /// Renders the Figure 11 table from a [`Scenario::fig11`] run —
-    /// byte-identical to `experiments fig11` at the same budget. Fails when the
-    /// grid lacks the cells the figure needs (the machines at the baseline
-    /// clock point `(0, 0)`).
+    /// Renders the Figure 11 table from a [`Scenario::fig11`] run: the
+    /// register-allocation machine and Flywheel at the baseline clock point
+    /// `(0, 0)`.
     pub fn fig11_table(&self) -> Result<String, String> {
         self.figure_grid_guard(
             "fig11",
             &[Machine::Baseline, Machine::RegAlloc, Machine::Flywheel],
         )?;
-        let columns = vec!["reg-alloc".to_owned(), "flywheel".to_owned()];
-        let mut rows = Vec::new();
-        for &bench in &self.scenario.benchmarks {
-            let base = self.reference_baseline(bench)?;
-            let speedup = |m: Machine| -> Result<f64, String> {
-                Ok(self.required(bench, m, 0, 0)?.speedup_over(base))
-            };
-            rows.push(Row {
-                bench: bench.name(),
-                values: vec![speedup(Machine::RegAlloc)?, speedup(Machine::Flywheel)?],
-            });
-        }
-        Ok(format_table(
+        let node = self.scenario.nodes[0];
+        self.figure_table(
             "Figure 11: performance at the baseline clock, normalized to the baseline",
-            &columns,
-            &rows,
-        ))
+            &["reg-alloc".to_owned(), "flywheel".to_owned()],
+            |bench| {
+                let base = self.reference(bench, node)?;
+                [Machine::RegAlloc, Machine::Flywheel]
+                    .into_iter()
+                    .map(|m| {
+                        Ok(self
+                            .figure_cell(bench, m, node, (0, 0))?
+                            .sim
+                            .speedup_over(base))
+                    })
+                    .collect()
+            },
+        )
     }
 
-    /// Renders the Figure 12 table from a [`Scenario::fig12`] run —
-    /// byte-identical to `experiments fig12` at the same budget (columns follow
-    /// the scenario's clock axis). Fails when the grid lacks the cells the
-    /// figure needs.
-    pub fn fig12_table(&self) -> Result<String, String> {
+    /// One metric of a [`Scenario::fig12`] run over its clock axis (the
+    /// columns follow the scenario's clock points).
+    fn clock_sweep_table(
+        &self,
+        title: &str,
+        metric: fn(&SimResult, &SimResult) -> f64,
+    ) -> Result<String, String> {
         self.figure_grid_guard("fig12", &[Machine::Baseline, Machine::Flywheel])?;
+        let node = self.scenario.nodes[0];
         let columns: Vec<String> = self
             .scenario
             .clocks
             .iter()
             .map(|(fe, be)| format!("FE{fe}/BE{be}"))
             .collect();
-        let mut rows = Vec::new();
-        for &bench in &self.scenario.benchmarks {
-            let base = self.reference_baseline(bench)?;
-            let mut values = Vec::new();
-            for &(fe, be) in &self.scenario.clocks {
-                values.push(
-                    self.required(bench, Machine::Flywheel, fe, be)?
-                        .speedup_over(base),
-                );
-            }
-            rows.push(Row {
-                bench: bench.name(),
-                values,
-            });
-        }
-        Ok(format_table(
-            "Figure 12: relative performance",
+        self.figure_table(title, &columns, |bench| {
+            let base = self.reference(bench, node)?;
+            self.scenario
+                .clocks
+                .iter()
+                .map(|&clock| {
+                    Ok(metric(
+                        &self.figure_cell(bench, Machine::Flywheel, node, clock)?.sim,
+                        base,
+                    ))
+                })
+                .collect()
+        })
+    }
+
+    /// Renders the Figure 12 table (relative performance) from a
+    /// [`Scenario::fig12`] run.
+    pub fn fig12_table(&self) -> Result<String, String> {
+        self.clock_sweep_table("Figure 12: relative performance", SimResult::speedup_over)
+    }
+
+    /// Renders the Figure 13 table (relative energy) from a
+    /// [`Scenario::fig12`] run.
+    pub fn fig13_table(&self) -> Result<String, String> {
+        self.clock_sweep_table("Figure 13: relative energy", SimResult::energy_ratio_over)
+    }
+
+    /// Renders the Figure 14 table (relative power) from a
+    /// [`Scenario::fig12`] run.
+    pub fn fig14_table(&self) -> Result<String, String> {
+        self.clock_sweep_table("Figure 14: relative power", SimResult::power_ratio_over)
+    }
+
+    /// Figures 12, 13 and 14: three metrics of the one clock-sweep run.
+    fn clock_sweep_tables(&self) -> Result<String, String> {
+        Ok(self.fig12_table()? + &self.fig13_table()? + &self.fig14_table()?)
+    }
+
+    /// The Flywheel cell and baseline reference of `bench` at `node` in a
+    /// [`Scenario::fig15`] run.
+    fn fig15_pair(
+        &self,
+        bench: Benchmark,
+        node: TechNode,
+    ) -> Result<(&SimResult, &SimResult), String> {
+        let fly = &self
+            .figure_cell(bench, Machine::Flywheel, node, FIG15_CLOCK)?
+            .sim;
+        Ok((fly, self.reference(bench, node)?))
+    }
+
+    /// Renders the Figure 15 table from a [`Scenario::fig15`] run: relative
+    /// energy of Flywheel (FE +100 %, BE +50 %) per technology node.
+    pub fn fig15_table(&self) -> Result<String, String> {
+        self.figure_grid_guard("fig15", &[Machine::Baseline, Machine::Flywheel])?;
+        let nodes = &self.scenario.nodes;
+        let columns: Vec<String> = nodes.iter().map(|n| n.to_string()).collect();
+        self.figure_table(
+            "Figure 15: relative energy of Flywheel (FE100%, BE50%) per technology node",
             &columns,
-            &rows,
-        ))
+            |bench| {
+                nodes
+                    .iter()
+                    .map(|&n| {
+                        let (fly, base) = self.fig15_pair(bench, n)?;
+                        Ok(fly.energy_ratio_over(base))
+                    })
+                    .collect()
+            },
+        )
+    }
+
+    /// Renders the leakage-attribution companion to Figure 15 at `node` from
+    /// a [`Scenario::fig15`] run: how much of each machine's total energy is
+    /// leakage, how much of the Flywheel machine's total leaks through its
+    /// extra structures (Execution Cache + Register Update — exactly the
+    /// components the baseline does not pay for), and the energy-delay-product
+    /// ratio that summarizes the trade.
+    pub fn leakage_attribution_table(&self, node: TechNode) -> Result<String, String> {
+        self.figure_grid_guard("fig15", &[Machine::Baseline, Machine::Flywheel])?;
+        self.figure_table(
+            &format!("Leakage attribution at {node} (Flywheel at FE100%, BE50%)"),
+            &[
+                "base leak %".to_owned(),
+                "fly leak %".to_owned(),
+                "fly extra %".to_owned(),
+                "edp ratio".to_owned(),
+            ],
+            |bench| {
+                let (fly, base) = self.fig15_pair(bench, node)?;
+                Ok(vec![
+                    base.energy.leakage_fraction() * 100.0,
+                    fly.energy.leakage_fraction() * 100.0,
+                    fly.energy.flywheel_leakage_fraction() * 100.0,
+                    fly.edp_ratio_over(base),
+                ])
+            },
+        )
+    }
+
+    /// Figure 15 followed by its leakage-attribution table at every node.
+    fn fig15_tables(&self) -> Result<String, String> {
+        let mut out = self.fig15_table()?;
+        for &node in &self.scenario.nodes {
+            out.push_str(&self.leakage_attribution_table(node)?);
+        }
+        Ok(out)
+    }
+
+    /// Renders the Execution-Cache residency study from a
+    /// [`Scenario::ec_residency`] run: the fraction of time the Flywheel
+    /// machine spends on the Execution Cache path, and its EC hit rate.
+    pub fn ec_residency_table(&self) -> Result<String, String> {
+        self.figure_grid_guard("ec_residency", &[Machine::Flywheel])?;
+        let node = self.scenario.nodes[0];
+        self.figure_table(
+            "Execution-path residency (paper reports an 88% average; vortex the lowest)",
+            &["residency".to_owned(), "ec hit rate".to_owned()],
+            |bench| {
+                let cell = self.figure_cell(bench, Machine::Flywheel, node, (0, 0))?;
+                let f = cell
+                    .flywheel
+                    .as_ref()
+                    .ok_or_else(|| format!("the {bench} Flywheel cell lost its stats"))?;
+                Ok(vec![f.ec_residency, f.ec_hit_rate()])
+            },
+        )
     }
 
     /// The scenario name as emitted into CSV/JSON: anything that could break
@@ -1600,9 +1834,8 @@ fn json_safe(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_baseline, run_baseline_with, run_flywheel};
-    use flywheel_core::FlywheelConfig;
-    use flywheel_uarch::BaselineConfig;
+    use flywheel_core::{FlywheelConfig, FlywheelResult, FlywheelSim};
+    use flywheel_uarch::{BaselineConfig, BaselineSim};
 
     fn tiny_budget() -> SimBudget {
         SimBudget::new(500, 2_000)
@@ -1623,6 +1856,8 @@ mod tests {
             (Scenario::fig2(b), 3),
             (Scenario::fig11(b), 3),
             (Scenario::fig12(b), 6),
+            (Scenario::fig15(b), 6),
+            (Scenario::ec_residency(b), 1),
         ] {
             s.validate().unwrap_or_else(|e| panic!("{e}"));
             assert_eq!(s.cell_count(), s.benchmarks.len() * per_bench, "{}", s.name);
@@ -1632,6 +1867,37 @@ mod tests {
         Scenario::leakage(b).validate().unwrap();
         Scenario::multidomain(b).validate().unwrap();
         Scenario::dvfs(b).validate().unwrap();
+    }
+
+    #[test]
+    fn figure_presets_render_every_figure_table() {
+        let mut out = String::new();
+        for name in Scenario::figure_names() {
+            let mut s = Scenario::preset(name, tiny_budget()).unwrap();
+            s.benchmarks = vec![Benchmark::Micro];
+            out.push_str(&s.run().figure_tables().unwrap_or_else(|e| panic!("{e}")));
+        }
+        let titles: Vec<&str> = out.lines().filter(|l| l.starts_with("== ")).collect();
+        assert_eq!(
+            titles,
+            [
+                "== Figure 2: performance degradation (%) from pipeline-loop stretching ==",
+                "== Figure 11: performance at the baseline clock, normalized to the baseline ==",
+                "== Figure 12: relative performance ==",
+                "== Figure 13: relative energy ==",
+                "== Figure 14: relative power ==",
+                "== Figure 15: relative energy of Flywheel (FE100%, BE50%) per technology node ==",
+                "== Leakage attribution at 130nm (Flywheel at FE100%, BE50%) ==",
+                "== Leakage attribution at 90nm (Flywheel at FE100%, BE50%) ==",
+                "== Leakage attribution at 60nm (Flywheel at FE100%, BE50%) ==",
+                "== Execution-path residency (paper reports an 88% average; vortex the lowest) ==",
+            ]
+        );
+        // Non-figure presets render nothing.
+        let mut smoke = Scenario::smoke();
+        smoke.benchmarks = vec![Benchmark::Micro];
+        smoke.budget = tiny_budget();
+        assert_eq!(smoke.run().figure_tables().unwrap(), "");
     }
 
     #[test]
@@ -1741,27 +2007,69 @@ mod tests {
         );
     }
 
+    /// A baseline run straight on the kernel over the shared trace, as
+    /// `golden` drives it: the oracle the engine path is checked against.
+    fn direct_baseline(bench: Benchmark, budget: SimBudget) -> SimResult {
+        direct_baseline_with(bench, BaselineConfig::paper(TechNode::N130), budget)
+    }
+
+    fn direct_baseline_with(bench: Benchmark, cfg: BaselineConfig, budget: SimBudget) -> SimResult {
+        let trace = crate::shared_trace(bench, EXPERIMENT_SEED, budget);
+        BaselineSim::new(cfg, trace.cursor()).run(budget)
+    }
+
+    fn direct_flywheel(bench: Benchmark, cfg: FlywheelConfig, budget: SimBudget) -> FlywheelResult {
+        let trace = crate::shared_trace(bench, EXPERIMENT_SEED, budget);
+        FlywheelSim::new(cfg, trace.cursor()).run(budget)
+    }
+
+    /// A figure preset over two benchmarks, and the table `title` those
+    /// benchmarks render to when each row is computed by hand with `values`
+    /// -- one direct kernel run per paper configuration.
+    fn preset_and_expected_table(
+        preset: fn(SimBudget) -> Scenario,
+        title: &str,
+        columns: &[String],
+        values: impl Fn(Benchmark) -> Vec<f64>,
+    ) -> (Scenario, String) {
+        let mut preset = preset(tiny_budget());
+        preset.benchmarks = vec![Benchmark::Micro, Benchmark::Gzip];
+        let rows: Vec<Row> = preset
+            .benchmarks
+            .iter()
+            .map(|&bench| Row {
+                bench: bench.name(),
+                values: values(bench),
+            })
+            .collect();
+        (preset, format_table(title, columns, &rows))
+    }
+
     #[test]
     fn scenario_run_matches_the_harness_runners_bitwise() {
-        // The engine path (cell -> config -> shared trace) must agree exactly
-        // with the run_* helpers the experiments binary uses.
+        // The engine path (cell -> executor -> shared trace) must agree
+        // exactly with driving the kernels by hand.
         let budget = tiny_budget();
         let mut s = Scenario::new("t", budget);
         s.benchmarks = vec![Benchmark::Micro];
         s.clocks = vec![(50, 50)];
         let run = s.run();
         run.check_invariants().unwrap_or_else(|e| panic!("{e}"));
-        let base = run
-            .result_for(Benchmark::Micro, Machine::Baseline, 0, 0)
-            .unwrap();
-        assert_eq!(
-            base.sim,
-            run_baseline(Benchmark::Micro, TechNode::N130, budget)
-        );
-        let fly = run
-            .result_for(Benchmark::Micro, Machine::Flywheel, 50, 50)
-            .unwrap();
-        let direct = run_flywheel(
+        let at = |machine, clock| {
+            run.result_at(
+                Benchmark::Micro,
+                EXPERIMENT_SEED,
+                machine,
+                TechNode::N130,
+                clock,
+            )
+            .unwrap()
+        };
+        let base = at(Machine::Baseline, (0, 0));
+        assert_eq!(base.sim, direct_baseline(Benchmark::Micro, budget));
+        assert_eq!(base.flywheel, None);
+        let fly = at(Machine::Flywheel, (50, 50));
+        let direct = direct_flywheel(
             Benchmark::Micro,
             FlywheelConfig::paper(TechNode::N130, 50, 50),
             budget,
@@ -1772,116 +2080,71 @@ mod tests {
 
     #[test]
     fn fig2_preset_table_is_byte_identical_to_the_experiments_path() {
-        // Recompute the Figure 2 table exactly the way the experiments binary
-        // does and compare the rendered bytes against the scenario preset.
         let budget = tiny_budget();
-        let mut preset = Scenario::fig2(budget);
-        preset.benchmarks = vec![Benchmark::Micro, Benchmark::Gzip];
-        let table = preset.run().fig2_table().unwrap();
-
-        let columns = vec!["fetch+1 %".to_owned(), "wakeup/sel %".to_owned()];
-        let rows: Vec<Row> = preset
-            .benchmarks
-            .iter()
-            .map(|&bench| {
-                let base = run_baseline(bench, TechNode::N130, budget);
-                let deeper = run_baseline_with(
-                    bench,
-                    BaselineConfig::paper(TechNode::N130).with_extra_frontend_stage(),
-                    budget,
-                );
-                let piped = run_baseline_with(
-                    bench,
-                    BaselineConfig::paper(TechNode::N130).with_pipelined_wakeup(),
-                    budget,
-                );
-                let degradation =
-                    |v: &SimResult| (v.elapsed_ps as f64 / base.elapsed_ps as f64 - 1.0) * 100.0;
-                Row {
-                    bench: bench.name(),
-                    values: vec![degradation(&deeper), degradation(&piped)],
-                }
-            })
-            .collect();
-        let expected = format_table(
+        let (preset, expected) = preset_and_expected_table(
+            Scenario::fig2,
             "Figure 2: performance degradation (%) from pipeline-loop stretching",
-            &columns,
-            &rows,
+            &["fetch+1 %".to_owned(), "wakeup/sel %".to_owned()],
+            |bench| {
+                let base = direct_baseline(bench, budget).elapsed_ps as f64;
+                let paper = BaselineConfig::paper(TechNode::N130);
+                [
+                    paper.clone().with_extra_frontend_stage(),
+                    paper.with_pipelined_wakeup(),
+                ]
+                .map(|cfg| {
+                    let v = direct_baseline_with(bench, cfg, budget);
+                    (v.elapsed_ps as f64 / base - 1.0) * 100.0
+                })
+                .to_vec()
+            },
         );
-        assert_eq!(table, expected);
+        assert_eq!(preset.run().fig2_table().unwrap(), expected);
     }
 
     #[test]
     fn fig12_preset_table_is_byte_identical_to_the_experiments_path() {
         let budget = tiny_budget();
-        let mut preset = Scenario::fig12(budget);
-        preset.benchmarks = vec![Benchmark::Micro, Benchmark::Gzip];
-        let table = preset.run().fig12_table().unwrap();
-
-        let columns: Vec<String> = crate::CLOCK_SWEEP
+        let columns: Vec<String> = CLOCK_SWEEP
             .iter()
             .map(|(fe, be)| format!("FE{fe}/BE{be}"))
             .collect();
-        let rows: Vec<Row> = preset
-            .benchmarks
-            .iter()
-            .map(|&bench| {
-                let base = run_baseline(bench, TechNode::N130, budget);
-                Row {
-                    bench: bench.name(),
-                    values: crate::CLOCK_SWEEP
-                        .iter()
-                        .map(|&(fe, be)| {
-                            run_flywheel(
-                                bench,
-                                FlywheelConfig::paper(TechNode::N130, fe, be),
-                                budget,
-                            )
-                            .speedup_over(&base)
-                        })
-                        .collect(),
-                }
-            })
-            .collect();
-        let expected = format_table("Figure 12: relative performance", &columns, &rows);
-        assert_eq!(table, expected);
+        let (preset, expected) = preset_and_expected_table(
+            Scenario::fig12,
+            "Figure 12: relative performance",
+            &columns,
+            |bench| {
+                let base = direct_baseline(bench, budget);
+                CLOCK_SWEEP
+                    .iter()
+                    .map(|&(fe, be)| {
+                        let cfg = FlywheelConfig::paper(TechNode::N130, fe, be);
+                        direct_flywheel(bench, cfg, budget).speedup_over(&base)
+                    })
+                    .collect()
+            },
+        );
+        assert_eq!(preset.run().fig12_table().unwrap(), expected);
     }
 
     #[test]
     fn fig11_preset_table_is_byte_identical_to_the_experiments_path() {
         let budget = tiny_budget();
-        let mut preset = Scenario::fig11(budget);
-        preset.benchmarks = vec![Benchmark::Micro, Benchmark::Gzip];
-        let table = preset.run().fig11_table().unwrap();
-
-        let columns = vec!["reg-alloc".to_owned(), "flywheel".to_owned()];
-        let rows: Vec<Row> = preset
-            .benchmarks
-            .iter()
-            .map(|&bench| {
-                let base = run_baseline(bench, TechNode::N130, budget);
-                let regalloc = run_flywheel(
-                    bench,
-                    FlywheelConfig::register_allocation_only(TechNode::N130),
-                    budget,
-                );
-                let flywheel = run_flywheel(
-                    bench,
-                    FlywheelConfig::paper_iso_clock(TechNode::N130),
-                    budget,
-                );
-                Row {
-                    bench: bench.name(),
-                    values: vec![regalloc.speedup_over(&base), flywheel.speedup_over(&base)],
-                }
-            })
-            .collect();
-        let expected = format_table(
+        let (preset, expected) = preset_and_expected_table(
+            Scenario::fig11,
             "Figure 11: performance at the baseline clock, normalized to the baseline",
-            &columns,
-            &rows,
+            &["reg-alloc".to_owned(), "flywheel".to_owned()],
+            |bench| {
+                let base = direct_baseline(bench, budget);
+                [
+                    FlywheelConfig::register_allocation_only(TechNode::N130),
+                    FlywheelConfig::paper_iso_clock(TechNode::N130),
+                ]
+                .map(|cfg| direct_flywheel(bench, cfg, budget).speedup_over(&base))
+                .to_vec()
+            },
         );
-        assert_eq!(table, expected);
+        assert_eq!(preset.run().fig11_table().unwrap(), expected);
     }
 
     #[test]
@@ -1907,6 +2170,18 @@ mod tests {
         s.clocks = vec![(50, 50)]; // fig11 needs the (0, 0) point
         let run = s.run();
         assert!(run.fig11_table().is_err());
+
+        let mut s = Scenario::fig15(tiny_budget());
+        s.benchmarks = vec![Benchmark::Micro];
+        s.nodes = vec![TechNode::N130]; // fig15 sweeps the power-study nodes
+        let err = s.run().figure_tables().unwrap_err();
+        assert!(err.contains("'nodes'"), "got: {err}");
+
+        let mut s = Scenario::ec_residency(tiny_budget());
+        s.benchmarks = vec![Benchmark::Micro];
+        s.machines = vec![Machine::RegAlloc];
+        let err = s.run().ec_residency_table().unwrap_err();
+        assert!(err.contains("'flywheel'"), "got: {err}");
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! ```
 //!
 //! A spec of the form `preset=NAME` (optionally with `warmup=`/`measured=`
-//! overrides) expands to the named [`Scenario`] preset instead, so callers
+//! overrides) expands to the named [`Scenario::preset`] instead, so callers
 //! can say `preset=smoke` without spelling out the grid.
 
 use crate::scenario::{Machine, Scenario};
@@ -163,25 +163,6 @@ pub fn scenario_to_spec(s: &Scenario) -> Result<String, SpecError> {
     ))
 }
 
-/// Expands a `preset=NAME` spec into the named [`Scenario`] preset.
-fn preset(name: &str, budget: SimBudget) -> Result<Scenario, String> {
-    Ok(match name {
-        "smoke" => {
-            let mut s = Scenario::smoke();
-            s.budget = budget;
-            s
-        }
-        "fig2" => Scenario::fig2(budget),
-        "fig11" => Scenario::fig11(budget),
-        "fig12" => Scenario::fig12(budget),
-        "stress" => Scenario::stress(budget),
-        "leakage" => Scenario::leakage(budget),
-        "multidomain" => Scenario::multidomain(budget),
-        "dvfs" => Scenario::dvfs(budget),
-        other => return Err(format!("unknown scenario preset '{other}'")),
-    })
-}
-
 fn parse_pair(field: &str, value: &str) -> Result<(u32, u32), String> {
     let (a, b) = value
         .split_once(':')
@@ -239,14 +220,10 @@ pub fn scenario_from_spec(spec: &str) -> Result<Scenario, String> {
     let budget = SimBudget::new(warmup.unwrap_or(2_000), measured.unwrap_or(8_000));
 
     let mut scenario = match fields.iter().find(|(k, _)| *k == "preset") {
-        Some(&(_, name)) => preset(name, budget)?,
-        None => {
-            let mut s = Scenario::new("spec", budget);
-            s.budget = budget;
-            s
-        }
+        Some(&(_, name)) => Scenario::preset(name, budget)
+            .ok_or_else(|| format!("unknown scenario preset '{name}'"))?,
+        None => Scenario::new("spec", budget),
     };
-    scenario.budget = budget;
 
     for (key, value) in fields {
         match key {
@@ -340,6 +317,8 @@ mod tests {
             Scenario::fig2(budget),
             Scenario::fig11(budget),
             Scenario::fig12(budget),
+            Scenario::fig15(budget),
+            Scenario::ec_residency(budget),
             Scenario::stress(budget),
             Scenario::leakage(budget),
             Scenario::multidomain(budget),
@@ -353,6 +332,13 @@ mod tests {
                 scenario_to_spec(&back).unwrap(),
                 "serialization must be stable"
             );
+        }
+        // Every registered name expands to its own preset.
+        for name in Scenario::preset_names() {
+            let s = scenario_from_spec(&format!("preset={name}")).unwrap();
+            let want = Scenario::preset(name, budget).unwrap();
+            assert_eq!(s.name, name);
+            assert_eq!(axes(&s), axes(&want));
         }
     }
 

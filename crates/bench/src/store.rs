@@ -5,7 +5,7 @@
 //! inputs. This module gives that function a durable memo table:
 //!
 //! * [`StoreKey`] — a 128-bit FNV-1a hash of the cell's *complete* input: the
-//!   machine family, the full machine configuration (via its canonical `Debug`
+//!   simulator, the full machine configuration (via its canonical `Debug`
 //!   rendering, which covers every structural/clocking knob), the workload and
 //!   seed, the instruction budget, and a code-version salt derived from the
 //!   committed `golden.txt` digest. Touch any input — or change simulator
@@ -19,13 +19,16 @@
 //!   (hand-rolled serialization; the build container has no registry access
 //!   for serde, mirroring `flywheel-rng`'s approach to `rand`).
 //!
-//! The `scenarios` and `experiments` binaries consult a store before
-//! simulating (`--store PATH`), so a re-run after touching one workload only
-//! simulates the affected cells; the `flywheel-report` crate regenerates the
-//! Markdown figure tables byte-identically from the same records.
+//! Every cell reaches the store through
+//! [`Scenario::run_with_store`](crate::scenario::Scenario::run_with_store),
+//! keyed by [`Executor::key`](crate::executor::Executor::key). The
+//! `scenarios` and `experiments` binaries take `--store PATH`, so a re-run
+//! after touching one workload only simulates the affected cells; the
+//! `flywheel-report` crate renders the Markdown figure tables from the same
+//! records through the same scenario presets.
 
 use flywheel_core::{FlywheelResult, FlywheelStats};
-use flywheel_uarch::{BaselineConfig, SimBudget, SimResult};
+use flywheel_uarch::{SimBudget, SimResult};
 use flywheel_workloads::Benchmark;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -33,7 +36,6 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
 
 /// Why a store operation failed. Every fallible store entry point returns this
 /// instead of panicking (or leaking a bare [`std::io::Error`]), so a bad disk
@@ -252,47 +254,23 @@ impl StoreKey {
     }
 }
 
-/// The canonical input string hashed into a baseline-machine cell key.
-///
-/// The configuration enters through its `Debug` rendering: it is exhaustive
-/// (every public knob appears), deterministic, and changes whenever the config
-/// structure itself changes — exactly the invalidation behaviour a
-/// content-addressed key needs.
-pub fn baseline_input(
-    cfg: &BaselineConfig,
-    bench: Benchmark,
-    seed: u64,
-    budget: SimBudget,
-) -> String {
-    family_input("baseline", &format!("{cfg:?}"), bench, seed, budget)
-}
-
-/// The canonical input string hashed into a Flywheel-machine cell key.
-pub fn flywheel_input(
-    cfg: &flywheel_core::FlywheelConfig,
-    bench: Benchmark,
-    seed: u64,
-    budget: SimBudget,
-) -> String {
-    family_input("flywheel", &format!("{cfg:?}"), bench, seed, budget)
-}
-
 /// The canonical input string hashed into a cell key for any machine family.
 ///
-/// `family` is the registered [family name](crate::executor::MachineFamily) and
-/// `config_debug` the `Debug` rendering of that family's configuration. For
-/// the pre-existing families this formats byte-for-byte what
-/// [`baseline_input`]/[`flywheel_input`] always produced, so generalizing the
-/// key derivation moved no stored key.
+/// `simulator` is the [simulator name](crate::executor::Executor::simulator) and
+/// `config_debug` the `Debug` rendering of the machine configuration. The
+/// configuration enters through its `Debug` rendering because it is
+/// exhaustive (every public knob appears), deterministic, and changes
+/// whenever the config structure itself changes — exactly the invalidation
+/// behaviour a content-addressed key needs.
 pub fn family_input(
-    family: &str,
+    simulator: &str,
     config_debug: &str,
     bench: Benchmark,
     seed: u64,
     budget: SimBudget,
 ) -> String {
     format!(
-        "salt={:016x}\nmachine={family}\nconfig={config_debug}\nbench={}\nseed={seed}\nwarmup={}\nmeasured={}\n",
+        "salt={:016x}\nmachine={simulator}\nconfig={config_debug}\nbench={}\nseed={seed}\nwarmup={}\nmeasured={}\n",
         code_version_salt(),
         bench.name(),
         budget.warmup_instructions,
@@ -302,33 +280,13 @@ pub fn family_input(
 
 /// The content address of a cell for any machine family (see [`family_input`]).
 pub fn family_key(
-    family: &str,
+    simulator: &str,
     config_debug: &str,
     bench: Benchmark,
     seed: u64,
     budget: SimBudget,
 ) -> StoreKey {
-    StoreKey::of_input(&family_input(family, config_debug, bench, seed, budget))
-}
-
-/// The content address of a baseline-machine cell.
-pub fn baseline_key(
-    cfg: &BaselineConfig,
-    bench: Benchmark,
-    seed: u64,
-    budget: SimBudget,
-) -> StoreKey {
-    StoreKey::of_input(&baseline_input(cfg, bench, seed, budget))
-}
-
-/// The content address of a Flywheel-machine cell.
-pub fn flywheel_key(
-    cfg: &flywheel_core::FlywheelConfig,
-    bench: Benchmark,
-    seed: u64,
-    budget: SimBudget,
-) -> StoreKey {
-    StoreKey::of_input(&flywheel_input(cfg, bench, seed, budget))
+    StoreKey::of_input(&family_input(simulator, config_debug, bench, seed, budget))
 }
 
 /// One stored simulation record: the machine-independent result plus the
@@ -900,65 +858,9 @@ impl ResultStore {
         }
         Ok(outcome)
     }
-
-    /// Recalls a baseline-machine cell by content address.
-    pub fn recall_baseline(
-        &self,
-        cfg: &BaselineConfig,
-        bench: Benchmark,
-        seed: u64,
-        budget: SimBudget,
-    ) -> Option<SimResult> {
-        self.get(&baseline_key(cfg, bench, seed, budget))
-            .map(|r| r.sim.clone())
-    }
-
-    /// Records a baseline-machine cell under its content address.
-    pub fn record_baseline(
-        &mut self,
-        cfg: &BaselineConfig,
-        bench: Benchmark,
-        seed: u64,
-        budget: SimBudget,
-        sim: &SimResult,
-    ) -> Result<(), StoreError> {
-        self.insert(
-            baseline_key(cfg, bench, seed, budget),
-            &cell_label("baseline", bench, seed),
-            RunStats::from_baseline(sim.clone()),
-        )
-    }
-
-    /// Recalls a Flywheel-machine cell by content address.
-    pub fn recall_flywheel(
-        &self,
-        cfg: &flywheel_core::FlywheelConfig,
-        bench: Benchmark,
-        seed: u64,
-        budget: SimBudget,
-    ) -> Option<FlywheelResult> {
-        self.get(&flywheel_key(cfg, bench, seed, budget))
-            .and_then(RunStats::to_flywheel_result)
-    }
-
-    /// Records a Flywheel-machine cell under its content address.
-    pub fn record_flywheel(
-        &mut self,
-        cfg: &flywheel_core::FlywheelConfig,
-        bench: Benchmark,
-        seed: u64,
-        budget: SimBudget,
-        r: &FlywheelResult,
-    ) -> Result<(), StoreError> {
-        self.insert(
-            flywheel_key(cfg, bench, seed, budget),
-            &cell_label("flywheel", bench, seed),
-            RunStats::from_flywheel(r),
-        )
-    }
 }
 
-/// The human-readable label written next to a harness cell's record.
+/// The human-readable label written next to a cell's telemetry events.
 pub fn cell_label(family: &str, bench: Benchmark, seed: u64) -> String {
     format!("{family}/{}/s{seed}", bench.name())
 }
@@ -1036,84 +938,11 @@ pub struct StoreSummary {
     pub simulated: usize,
 }
 
-// ---------------------------------------------------------------------------
-// Process-global store (used by the binaries' `--store` flag) and the
-// simulation counter.
-// ---------------------------------------------------------------------------
-
-static GLOBAL_STORE: Mutex<Option<ResultStore>> = Mutex::new(None);
-static GLOBAL_HITS: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_MISSES: AtomicU64 = AtomicU64::new(0);
-static SIMULATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Installs `store` as the process-global store consulted by
-/// [`crate::run_baseline_cfg`]/[`crate::run_flywheel_cfg`] (and therefore by
-/// every harness runner and scenario cell). Resets the hit/miss counters.
-///
-/// All global-store accessors recover from a poisoned lock rather than
-/// panicking: a worker that died mid-cell (now an isolated, reported failure)
-/// must not cascade into every later store access. The store's own state
-/// stays consistent across a poisoning because record/label inserts happen
-/// only after the disk append completed.
-pub fn install_global_store(store: ResultStore) {
-    GLOBAL_HITS.store(0, Ordering::Relaxed);
-    GLOBAL_MISSES.store(0, Ordering::Relaxed);
-    *GLOBAL_STORE.lock().unwrap_or_else(PoisonError::into_inner) = Some(store);
-}
-
-/// Removes and returns the process-global store.
-pub fn take_global_store() -> Option<ResultStore> {
-    GLOBAL_STORE
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .take()
-}
-
-/// Whether a process-global store is installed.
-pub fn global_store_installed() -> bool {
-    GLOBAL_STORE
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .is_some()
-}
-
-/// (hits, misses) of the process-global store since it was installed.
-pub fn global_store_counters() -> (u64, u64) {
-    (
-        GLOBAL_HITS.load(Ordering::Relaxed),
-        GLOBAL_MISSES.load(Ordering::Relaxed),
-    )
-}
-
-pub(crate) fn global_get(key: &StoreKey) -> Option<RunStats> {
-    let guard = GLOBAL_STORE.lock().unwrap_or_else(PoisonError::into_inner);
-    let store = guard.as_ref()?;
-    let hit = store.get(key).cloned();
-    match &hit {
-        Some(_) => GLOBAL_HITS.fetch_add(1, Ordering::Relaxed),
-        None => GLOBAL_MISSES.fetch_add(1, Ordering::Relaxed),
-    };
-    hit
-}
-
-pub(crate) fn global_put(key: StoreKey, label: &str, stats: RunStats) {
-    let mut guard = GLOBAL_STORE.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(store) = guard.as_mut() {
-        if let Err(e) = store.insert(key, label, stats) {
-            eprintln!("warning: could not append to the result store: {e}");
-        }
+impl std::ops::AddAssign for StoreSummary {
+    fn add_assign(&mut self, other: StoreSummary) {
+        self.hits += other.hits;
+        self.simulated += other.simulated;
     }
-}
-
-/// Total simulations actually executed by this process (store hits do not
-/// count). Monotone; read deltas around a sweep to see how much work the
-/// store saved.
-pub fn simulations_performed() -> u64 {
-    SIMULATIONS.load(Ordering::Relaxed)
-}
-
-pub(crate) fn count_simulation() {
-    SIMULATIONS.fetch_add(1, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -1213,28 +1042,32 @@ mod tests {
 
     #[test]
     fn family_inputs_pin_the_legacy_key_derivation() {
-        // The generic family derivation must format byte-for-byte what the
-        // baseline/flywheel-specific derivations produced before the machine
-        // registry existed; otherwise every stored key silently moves.
+        // The canonical input is the exact text every committed key hashes;
+        // any change to it silently moves every stored key.
         use flywheel_timing::TechNode;
         let budget = SimBudget::new(5_000, 40_000);
         let bench = flywheel_workloads::Benchmark::Micro;
-        let base = BaselineConfig::paper(TechNode::N130);
-        assert_eq!(
-            baseline_input(&base, bench, 42, budget),
-            family_input("baseline", &format!("{base:?}"), bench, 42, budget),
-        );
-        let fly = flywheel_core::FlywheelConfig::paper(TechNode::N130, 50, 50);
-        assert_eq!(
-            flywheel_input(&fly, bench, 42, budget),
-            family_input("flywheel", &format!("{fly:?}"), bench, 42, budget),
+        let fly = format!(
+            "{:?}",
+            flywheel_core::FlywheelConfig::paper(TechNode::N130, 50, 50)
         );
         assert_eq!(
-            flywheel_key(&fly, bench, 42, budget),
-            family_key("flywheel", &format!("{fly:?}"), bench, 42, budget),
+            family_input("flywheel", &fly, bench, 42, budget),
+            format!(
+                "salt={:016x}\nmachine=flywheel\nconfig={fly}\nbench=micro\nseed=42\n\
+                 warmup=5000\nmeasured=40000\n",
+                code_version_salt()
+            ),
         );
-        // Distinct families with identical configs must not collide.
-        let dbg = format!("{base:?}");
+        assert_eq!(
+            family_key("flywheel", &fly, bench, 42, budget),
+            StoreKey::of_input(&family_input("flywheel", &fly, bench, 42, budget)),
+        );
+        // Distinct simulators with identical configs must not collide.
+        let dbg = format!(
+            "{:?}",
+            flywheel_uarch::BaselineConfig::paper(TechNode::N130)
+        );
         assert_ne!(
             family_key("baseline", &dbg, bench, 42, budget),
             family_key("multidomain", &dbg, bench, 42, budget),

@@ -3,10 +3,9 @@
 //! warm store performs zero simulations for unchanged cells.
 
 use flywheel_bench::scenario::{Machine, Scenario, ScenarioCell};
-use flywheel_bench::store::{baseline_key, flywheel_key, ResultStore, StoreKey};
-use flywheel_core::FlywheelConfig;
+use flywheel_bench::store::{ResultStore, StoreKey};
 use flywheel_timing::TechNode;
-use flywheel_uarch::{BaselineConfig, SimBudget};
+use flywheel_uarch::SimBudget;
 use flywheel_workloads::Benchmark;
 use std::path::PathBuf;
 
@@ -142,19 +141,22 @@ fn keys_cover_the_full_cell_input() {
 #[test]
 fn baseline_and_flywheel_families_never_share_keys() {
     let budget = SimBudget::test();
-    let b = baseline_key(
-        &BaselineConfig::paper(TechNode::N130),
-        Benchmark::Micro,
-        42,
-        budget,
+    let cell = |machine| ScenarioCell {
+        bench: Benchmark::Micro,
+        seed: 42,
+        machine,
+        node: TechNode::N130,
+        fe_pct: 0,
+        be_pct: 0,
+        iw_entries: 128,
+        rob_entries: 128,
+        ec_kb: 128,
+        mem_cycles: 100,
+    };
+    assert_ne!(
+        cell(Machine::Baseline).key(budget),
+        cell(Machine::Flywheel).key(budget)
     );
-    let f = flywheel_key(
-        &FlywheelConfig::paper_iso_clock(TechNode::N130),
-        Benchmark::Micro,
-        42,
-        budget,
-    );
-    assert_ne!(b, f);
 }
 
 #[test]

@@ -5,10 +5,11 @@
 //! process-global (one drain thread, one log), so this must not share a
 //! process with tests that arm their own sessions or count events.
 
+use flywheel_bench::executor::{CellAxes, Executor, Machine};
+use flywheel_bench::store;
 use flywheel_bench::telemetry::{
     finish_global_telemetry, install_global_telemetry, telemetry_installed, TelemetryLog,
 };
-use flywheel_bench::{run_baseline_cfg, run_flywheel_cfg, store};
 use flywheel_core::FlywheelConfig;
 use flywheel_timing::TechNode;
 use flywheel_uarch::telemetry::TelemetryEvent;
@@ -20,15 +21,31 @@ fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("fw-telemetry-e2e-{}-{name}", std::process::id()))
 }
 
+/// The paper-point executor of `machine` on the micro benchmark, seed 42.
+fn executor(machine: Machine) -> Box<dyn Executor> {
+    machine.family().builder.build(&CellAxes {
+        bench: Benchmark::Micro,
+        seed: 42,
+        node: TechNode::N130,
+        fe_pct: 0,
+        be_pct: 0,
+        iw_entries: 128,
+        rob_entries: 128,
+        ec_kb: 128,
+        mem_cycles: 100,
+    })
+}
+
 #[test]
 fn armed_runs_flush_a_clean_content_addressed_event_log() {
     let budget = SimBudget::new(500, 20_000);
     let bcfg = BaselineConfig::paper(TechNode::N130);
     let fcfg = FlywheelConfig::paper_iso_clock(TechNode::N130);
+    let (base, fly) = (executor(Machine::Baseline), executor(Machine::Flywheel));
 
     // Disarmed process: no sink, kernels must record nothing.
     assert!(!telemetry_installed());
-    let disarmed = run_flywheel_cfg(Benchmark::Micro, 42, fcfg.clone(), budget);
+    let disarmed = fly.simulate(budget);
 
     let path = tmp("log.events");
     install_global_telemetry(&path, 256).expect("sink installs");
@@ -38,8 +55,8 @@ fn armed_runs_flush_a_clean_content_addressed_event_log() {
         "double install must be rejected"
     );
 
-    let _armed_b = run_baseline_cfg(Benchmark::Micro, 42, bcfg.clone(), budget);
-    let armed_f = run_flywheel_cfg(Benchmark::Micro, 42, fcfg.clone(), budget);
+    let _armed_b = base.simulate(budget);
+    let armed_f = fly.simulate(budget);
     // Telemetry is observational only: armed and disarmed runs simulate
     // identical machines.
     assert_eq!(armed_f.sim, disarmed.sim);
@@ -59,8 +76,20 @@ fn armed_runs_flush_a_clean_content_addressed_event_log() {
 
     // Content addressing: every record's key is one of the two cells' store
     // keys, paired with that cell's label.
-    let bkey = store::baseline_key(&bcfg, Benchmark::Micro, 42, budget);
-    let fkey = store::flywheel_key(&fcfg, Benchmark::Micro, 42, budget);
+    let bkey = store::family_key(
+        "baseline",
+        &format!("{bcfg:?}"),
+        Benchmark::Micro,
+        42,
+        budget,
+    );
+    let fkey = store::family_key(
+        "flywheel",
+        &format!("{fcfg:?}"),
+        Benchmark::Micro,
+        42,
+        budget,
+    );
     let blabel = store::cell_label("baseline", Benchmark::Micro, 42);
     let flabel = store::cell_label("flywheel", Benchmark::Micro, 42);
     let mut baseline_events = 0u64;

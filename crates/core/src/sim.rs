@@ -1505,13 +1505,13 @@ mod tests {
     use flywheel_uarch::{BaselineConfig, BaselineSim};
     use flywheel_workloads::{Benchmark, TraceGenerator};
 
-    fn run_flywheel(b: Benchmark, cfg: FlywheelConfig, budget: SimBudget) -> FlywheelResult {
+    fn flywheel_on(b: Benchmark, cfg: FlywheelConfig, budget: SimBudget) -> FlywheelResult {
         let program = b.synthesize(42);
         let trace = TraceGenerator::new(&program, 42);
         FlywheelSim::new(cfg, trace).run(budget)
     }
 
-    fn run_baseline(b: Benchmark, budget: SimBudget) -> SimResult {
+    fn baseline_on(b: Benchmark, budget: SimBudget) -> SimResult {
         let program = b.synthesize(42);
         let trace = TraceGenerator::new(&program, 42);
         BaselineSim::new(BaselineConfig::paper(TechNode::N130), trace).run(budget)
@@ -1519,7 +1519,7 @@ mod tests {
 
     #[test]
     fn retires_the_requested_instruction_count() {
-        let r = run_flywheel(
+        let r = flywheel_on(
             Benchmark::Micro,
             FlywheelConfig::paper_iso_clock(TechNode::N130),
             SimBudget::new(1_000, 20_000),
@@ -1533,7 +1533,7 @@ mod tests {
         // The paper reports an average 88% residency on the alternative execution
         // path; loop-dominated benchmarks should comfortably exceed 50% even at the
         // small test scale.
-        let r = run_flywheel(
+        let r = flywheel_on(
             Benchmark::Ijpeg,
             FlywheelConfig::paper_iso_clock(TechNode::N130),
             SimBudget::new(20_000, 60_000),
@@ -1557,7 +1557,7 @@ mod tests {
 
     #[test]
     fn disabling_the_ec_keeps_the_machine_in_creation_mode() {
-        let r = run_flywheel(
+        let r = flywheel_on(
             Benchmark::Gzip,
             FlywheelConfig::register_allocation_only(TechNode::N130),
             SimBudget::new(2_000, 20_000),
@@ -1573,8 +1573,8 @@ mod tests {
         // against the baseline at the same clock (longer pipeline, rename stalls).
         let budget = SimBudget::new(5_000, 40_000);
         for bench in [Benchmark::Gzip, Benchmark::Parser] {
-            let base = run_baseline(bench, budget);
-            let regalloc = run_flywheel(
+            let base = baseline_on(bench, budget);
+            let regalloc = flywheel_on(
                 bench,
                 FlywheelConfig::register_allocation_only(TechNode::N130),
                 budget,
@@ -1603,17 +1603,17 @@ mod tests {
         // Figure 12: raising the front-end and back-end clocks must increase
         // performance monotonically (roughly).
         let budget = SimBudget::new(10_000, 40_000);
-        let iso = run_flywheel(
+        let iso = flywheel_on(
             Benchmark::Mesa,
             FlywheelConfig::paper_iso_clock(TechNode::N130),
             budget,
         );
-        let be50 = run_flywheel(
+        let be50 = flywheel_on(
             Benchmark::Mesa,
             FlywheelConfig::paper(TechNode::N130, 0, 50),
             budget,
         );
-        let fe50 = run_flywheel(
+        let fe50 = flywheel_on(
             Benchmark::Mesa,
             FlywheelConfig::paper(TechNode::N130, 50, 50),
             budget,
@@ -1640,13 +1640,13 @@ mod tests {
         // The headline claim: with FE+50%/BE+50% the Flywheel machine is markedly
         // faster than the fully synchronous baseline.
         let budget = SimBudget::new(10_000, 50_000);
-        let base = run_baseline(Benchmark::Ijpeg, budget);
-        let iso = run_flywheel(
+        let base = baseline_on(Benchmark::Ijpeg, budget);
+        let iso = flywheel_on(
             Benchmark::Ijpeg,
             FlywheelConfig::paper_iso_clock(TechNode::N130),
             budget,
         );
-        let fly = run_flywheel(
+        let fly = flywheel_on(
             Benchmark::Ijpeg,
             FlywheelConfig::paper(TechNode::N130, 50, 50),
             budget,
@@ -1674,8 +1674,8 @@ mod tests {
         // the small unit-test scale the effect is evaluated at the baseline clock
         // where the residency is highest; EXPERIMENTS.md records the full sweep.
         let budget = SimBudget::new(10_000, 50_000);
-        let base = run_baseline(Benchmark::Ijpeg, budget);
-        let fly = run_flywheel(
+        let base = baseline_on(Benchmark::Ijpeg, budget);
+        let fly = flywheel_on(
             Benchmark::Ijpeg,
             FlywheelConfig::paper_iso_clock(TechNode::N130),
             budget,
@@ -1702,7 +1702,7 @@ mod tests {
         // alternative execution path (< 60%, against an 88% suite average), caused by
         // its large instruction footprint and call-dominated control flow.
         let budget = SimBudget::new(10_000, 40_000);
-        let vortex = run_flywheel(
+        let vortex = flywheel_on(
             Benchmark::Vortex,
             FlywheelConfig::paper_iso_clock(TechNode::N130),
             budget,
@@ -1721,7 +1721,7 @@ mod tests {
 
     #[test]
     fn trace_divergences_are_detected() {
-        let r = run_flywheel(
+        let r = flywheel_on(
             Benchmark::Parser,
             FlywheelConfig::paper_iso_clock(TechNode::N130),
             SimBudget::new(10_000, 40_000),
@@ -1746,7 +1746,7 @@ mod tests {
         );
         let governed = gov.run(budget);
         assert!(gov.dvfs_retunes() > 0, "governor never retuned");
-        let iso = run_flywheel(
+        let iso = flywheel_on(
             Benchmark::FlyBest,
             FlywheelConfig::paper_iso_clock(TechNode::N130),
             budget,

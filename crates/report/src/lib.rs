@@ -7,10 +7,10 @@
 //!
 //! * Every paper figure table (Figures 2, 11, 12, 13, 14, 15, the
 //!   Execution-Cache residency study, and the per-node leakage-attribution
-//!   companion tables introduced with the attributed power model) is rendered
-//!   from stored [`RunStats`](flywheel_bench::store::RunStats) records through
-//!   the exact same [`format_table`] path the `experiments` binary prints, so a
-//!   regenerated table is byte-identical to a freshly simulated one.
+//!   companion tables introduced with the attributed power model) is the
+//!   figure's scenario preset run against the store and rendered by
+//!   [`ScenarioRun::figure_tables`] — the one definition of each figure the
+//!   `experiments` and `scenarios` binaries print too.
 //! * [`results_markdown`] assembles the full `RESULTS.md` artifact: figure
 //!   tables plus the simulator-throughput trajectory read from `BENCH.json`.
 //! * [`patch_block`]/[`extract_block`] maintain the generated section of
@@ -18,23 +18,21 @@
 //! * The `report` binary drives it all, and its `--check` mode is the CI gate
 //!   that fails when committed docs disagree with the store.
 //!
-//! Reads go through a [`Source`], which either refuses to simulate
-//! ([`Source::read_only`], the `--check` path) or fills store misses by
-//! simulating the missing cell ([`Source::computing`], the `--populate` path).
+//! Grids run through a [`Source`], which either refuses to simulate
+//! ([`Source::read_only`], the `--check` path) or simulates and stores the
+//! missing cells ([`Source::computing`], the `--populate` path).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use flywheel_bench::scenario::{CellResult, Machine, Scenario, ScenarioRun};
 use flywheel_bench::stats::Aggregate;
 use flywheel_bench::store::{ResultStore, StoreSummary};
 use flywheel_bench::telemetry::TelemetryLog;
-use flywheel_bench::{
-    format_table, run_baseline_cfg, run_flywheel_cfg, Row, CLOCK_SWEEP, EXPERIMENT_SEED,
-};
-use flywheel_core::{FlywheelConfig, FlywheelResult};
+use flywheel_bench::EXPERIMENT_SEED;
 use flywheel_timing::TechNode;
 use flywheel_uarch::telemetry::{ClockDomain, TelemetryEvent};
-use flywheel_uarch::{BaselineConfig, SimBudget, SimResult};
+use flywheel_uarch::{SimBudget, SimResult};
 use flywheel_workloads::Benchmark;
 
 /// The marker opening the generated section of EXPERIMENTS.md.
@@ -42,10 +40,9 @@ pub const BLOCK_BEGIN: &str = "<!-- flywheel-report:begin -->";
 /// The marker closing the generated section of EXPERIMENTS.md.
 pub const BLOCK_END: &str = "<!-- flywheel-report:end -->";
 
-/// The technology node every simulated figure uses (the paper's 0.13 µm).
-fn node() -> TechNode {
-    TechNode::N130
-}
+/// The figure presets the seed-sensitivity tables re-run over
+/// [`sensitivity_seeds`].
+const SEEDED_FIGURES: [&str; 2] = ["fig11", "fig15"];
 
 /// The seed axis of the seed-sensitivity study: the experiment seed the
 /// figures use plus four more, so every sensitivity aggregate carries n = 5
@@ -54,7 +51,19 @@ pub fn sensitivity_seeds() -> &'static [u64] {
     &[2005, 2006, 2007, 2008, 2009]
 }
 
-/// A store-backed supplier of simulation results for the figure renderers.
+/// Every grid the published tables read, in rendering order: the figure
+/// presets ([`Scenario::figure_names`]) at the experiment seed, then
+/// Figures 11 and 15 over [`sensitivity_seeds`].
+pub fn report_grids(budget: SimBudget) -> Vec<Scenario> {
+    let preset = |name| Scenario::preset(name, budget).expect("figure presets are registered");
+    let seeded = SEEDED_FIGURES.into_iter().map(|name| Scenario {
+        seeds: sensitivity_seeds().to_vec(),
+        ..preset(name)
+    });
+    Scenario::figure_names().map(preset).chain(seeded).collect()
+}
+
+/// A store-backed runner of the figure grids.
 pub struct Source<'a> {
     store: &'a mut ResultStore,
     compute: bool,
@@ -86,267 +95,43 @@ impl<'a> Source<'a> {
         self.summary
     }
 
-    fn missing(&self, what: &str) -> String {
-        format!(
-            "no stored record for {what}; populate the store first \
-             (`cargo run --release -p flywheel-report --bin report -- --populate` or \
-             `cargo run --release -p flywheel-bench --bin experiments -- all --store results.store`)"
-        )
-    }
-
-    fn baseline_seeded(
-        &mut self,
-        bench: Benchmark,
-        cfg: BaselineConfig,
-        seed: u64,
-        budget: SimBudget,
-    ) -> Result<SimResult, String> {
-        if let Some(r) = self.store.recall_baseline(&cfg, bench, seed, budget) {
-            self.summary.hits += 1;
-            return Ok(r);
+    /// Runs `scenario` against the store. A read-only source recalls every
+    /// cell, simulating nothing, and fails on the first cell the store lacks;
+    /// a computing source simulates and stores the missing cells and fails if
+    /// any of them could not be simulated.
+    pub fn run(&mut self, scenario: &Scenario) -> Result<ScenarioRun, String> {
+        if self.compute {
+            let (run, summary) = scenario.run_with_store(self.store);
+            self.summary += summary;
+            return match run.failed.first() {
+                Some(f) => Err(format!("cell {} failed: {}", f.cell.label(), f.cause)),
+                None => Ok(run),
+            };
         }
-        if !self.compute {
-            return Err(self.missing(&format!("baseline/{}/s{seed}", bench.name())));
-        }
-        let r = run_baseline_cfg(bench, seed, cfg.clone(), budget);
-        self.summary.simulated += 1;
-        self.store
-            .record_baseline(&cfg, bench, seed, budget, &r)
-            .map_err(|e| format!("could not append to the result store: {e}"))?;
-        Ok(r)
+        let cells = scenario.expand();
+        let results = cells
+            .iter()
+            .map(|cell| match self.store.get(&cell.key(scenario.budget)) {
+                Some(r) => Ok(CellResult {
+                    sim: r.sim.clone(),
+                    flywheel: r.flywheel,
+                }),
+                None => Err(format!(
+                    "no stored record for {}; populate the store first \
+                     (`cargo run --release -p flywheel-report --bin report -- --populate` or \
+                     `cargo run --release -p flywheel-bench --bin experiments -- all --store results.store`)",
+                    cell.label()
+                )),
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        self.summary.hits += cells.len();
+        Ok(ScenarioRun {
+            scenario: scenario.clone(),
+            cells,
+            results,
+            failed: Vec::new(),
+        })
     }
-
-    fn baseline(
-        &mut self,
-        bench: Benchmark,
-        cfg: BaselineConfig,
-        budget: SimBudget,
-    ) -> Result<SimResult, String> {
-        self.baseline_seeded(bench, cfg, EXPERIMENT_SEED, budget)
-    }
-
-    fn flywheel_seeded(
-        &mut self,
-        bench: Benchmark,
-        cfg: FlywheelConfig,
-        seed: u64,
-        budget: SimBudget,
-    ) -> Result<FlywheelResult, String> {
-        if let Some(r) = self.store.recall_flywheel(&cfg, bench, seed, budget) {
-            self.summary.hits += 1;
-            return Ok(r);
-        }
-        if !self.compute {
-            return Err(self.missing(&format!("flywheel/{}/s{seed}", bench.name())));
-        }
-        let r = run_flywheel_cfg(bench, seed, cfg.clone(), budget);
-        self.summary.simulated += 1;
-        self.store
-            .record_flywheel(&cfg, bench, seed, budget, &r)
-            .map_err(|e| format!("could not append to the result store: {e}"))?;
-        Ok(r)
-    }
-
-    fn flywheel(
-        &mut self,
-        bench: Benchmark,
-        cfg: FlywheelConfig,
-        budget: SimBudget,
-    ) -> Result<FlywheelResult, String> {
-        self.flywheel_seeded(bench, cfg, EXPERIMENT_SEED, budget)
-    }
-}
-
-/// Figure 2 (pipeline-loop stretching), byte-identical to `experiments fig2`.
-pub fn fig2_table(src: &mut Source<'_>, budget: SimBudget) -> Result<String, String> {
-    let columns = vec!["fetch+1 %".to_owned(), "wakeup/sel %".to_owned()];
-    let mut rows = Vec::new();
-    for &bench in Benchmark::paper_suite() {
-        let base = src.baseline(bench, BaselineConfig::paper(node()), budget)?;
-        let deeper = src.baseline(
-            bench,
-            BaselineConfig::paper(node()).with_extra_frontend_stage(),
-            budget,
-        )?;
-        let piped = src.baseline(
-            bench,
-            BaselineConfig::paper(node()).with_pipelined_wakeup(),
-            budget,
-        )?;
-        let degradation =
-            |v: &SimResult| (v.elapsed_ps as f64 / base.elapsed_ps as f64 - 1.0) * 100.0;
-        rows.push(Row {
-            bench: bench.name(),
-            values: vec![degradation(&deeper), degradation(&piped)],
-        });
-    }
-    Ok(format_table(
-        "Figure 2: performance degradation (%) from pipeline-loop stretching",
-        &columns,
-        &rows,
-    ))
-}
-
-/// Figure 11 (machines at the baseline clock), byte-identical to
-/// `experiments fig11`.
-pub fn fig11_table(src: &mut Source<'_>, budget: SimBudget) -> Result<String, String> {
-    let columns = vec!["reg-alloc".to_owned(), "flywheel".to_owned()];
-    let mut rows = Vec::new();
-    for &bench in Benchmark::paper_suite() {
-        let base = src.baseline(bench, BaselineConfig::paper(node()), budget)?;
-        let regalloc = src.flywheel(
-            bench,
-            FlywheelConfig::register_allocation_only(node()),
-            budget,
-        )?;
-        let flywheel = src.flywheel(bench, FlywheelConfig::paper_iso_clock(node()), budget)?;
-        rows.push(Row {
-            bench: bench.name(),
-            values: vec![regalloc.speedup_over(&base), flywheel.speedup_over(&base)],
-        });
-    }
-    Ok(format_table(
-        "Figure 11: performance at the baseline clock, normalized to the baseline",
-        &columns,
-        &rows,
-    ))
-}
-
-/// Which Figure 12–14 metric to read off the shared clock-sweep matrix.
-#[derive(Debug, Clone, Copy)]
-pub enum ClockSweepMetric {
-    /// Figure 12: relative performance.
-    Performance,
-    /// Figure 13: relative energy.
-    Energy,
-    /// Figure 14: relative power.
-    Power,
-}
-
-impl ClockSweepMetric {
-    fn title(&self) -> &'static str {
-        match self {
-            ClockSweepMetric::Performance => "Figure 12: relative performance",
-            ClockSweepMetric::Energy => "Figure 13: relative energy",
-            ClockSweepMetric::Power => "Figure 14: relative power",
-        }
-    }
-}
-
-/// One of the Figure 12–14 tables, byte-identical to the `experiments`
-/// binary's `fig12`/`fig13`/`fig14` output.
-pub fn clock_sweep_table(
-    src: &mut Source<'_>,
-    metric: ClockSweepMetric,
-    budget: SimBudget,
-) -> Result<String, String> {
-    let columns: Vec<String> = CLOCK_SWEEP
-        .iter()
-        .map(|(fe, be)| format!("FE{fe}/BE{be}"))
-        .collect();
-    let mut rows = Vec::new();
-    for &bench in Benchmark::paper_suite() {
-        let base = src.baseline(bench, BaselineConfig::paper(node()), budget)?;
-        let mut values = Vec::new();
-        for &(fe, be) in &CLOCK_SWEEP {
-            let fly = src.flywheel(bench, FlywheelConfig::paper(node(), fe, be), budget)?;
-            values.push(match metric {
-                ClockSweepMetric::Performance => fly.speedup_over(&base),
-                ClockSweepMetric::Energy => fly.energy_ratio_over(&base),
-                ClockSweepMetric::Power => fly.power_ratio_over(&base),
-            });
-        }
-        rows.push(Row {
-            bench: bench.name(),
-            values,
-        });
-    }
-    Ok(format_table(metric.title(), &columns, &rows))
-}
-
-/// Figure 15 (relative energy per technology node), byte-identical to
-/// `experiments fig15`.
-pub fn fig15_table(src: &mut Source<'_>, budget: SimBudget) -> Result<String, String> {
-    let nodes = TechNode::power_study_nodes();
-    let columns: Vec<String> = nodes.iter().map(|n| n.to_string()).collect();
-    let mut rows = Vec::new();
-    for &bench in Benchmark::paper_suite() {
-        let mut values = Vec::new();
-        for &n in nodes {
-            let base = src.baseline(bench, BaselineConfig::paper(n), budget)?;
-            let fly = src.flywheel(bench, FlywheelConfig::paper(n, 100, 50), budget)?;
-            values.push(fly.energy_ratio_over(&base));
-        }
-        rows.push(Row {
-            bench: bench.name(),
-            values,
-        });
-    }
-    Ok(format_table(
-        "Figure 15: relative energy of Flywheel (FE100%, BE50%) per technology node",
-        &columns,
-        &rows,
-    ))
-}
-
-/// The leakage-attribution companion to Figure 15 at one technology node: how
-/// much of each machine's total energy is leakage, how much of the Flywheel
-/// machine's total leaks through its extra structures (Execution Cache +
-/// Register Update — exactly the components the baseline no longer pays for
-/// since the attributed power model), and the energy-delay-product ratio that
-/// summarizes the trade.
-///
-/// Reads the same cells as Figure 15, so it adds no simulations to
-/// [`populate`].
-pub fn leakage_attribution_table(
-    src: &mut Source<'_>,
-    n: TechNode,
-    budget: SimBudget,
-) -> Result<String, String> {
-    let columns = vec![
-        "base leak %".to_owned(),
-        "fly leak %".to_owned(),
-        "fly extra %".to_owned(),
-        "edp ratio".to_owned(),
-    ];
-    let mut rows = Vec::new();
-    for &bench in Benchmark::paper_suite() {
-        let base = src.baseline(bench, BaselineConfig::paper(n), budget)?;
-        let fly = src.flywheel(bench, FlywheelConfig::paper(n, 100, 50), budget)?;
-        rows.push(Row {
-            bench: bench.name(),
-            values: vec![
-                base.energy.leakage_fraction() * 100.0,
-                fly.sim.energy.leakage_fraction() * 100.0,
-                fly.sim.energy.flywheel_leakage_fraction() * 100.0,
-                fly.sim.edp_ratio_over(&base),
-            ],
-        });
-    }
-    Ok(format_table(
-        &format!("Leakage attribution at {n} (Flywheel at FE100%, BE50%)"),
-        &columns,
-        &rows,
-    ))
-}
-
-/// The Execution-Cache residency study, byte-identical to
-/// `experiments ec_residency`.
-pub fn ec_residency_table(src: &mut Source<'_>, budget: SimBudget) -> Result<String, String> {
-    let columns = vec!["residency".to_owned(), "ec hit rate".to_owned()];
-    let mut rows = Vec::new();
-    for &bench in Benchmark::paper_suite() {
-        let fly = src.flywheel(bench, FlywheelConfig::paper_iso_clock(node()), budget)?;
-        rows.push(Row {
-            bench: bench.name(),
-            values: vec![fly.flywheel.ec_residency, fly.flywheel.ec_hit_rate()],
-        });
-    }
-    Ok(format_table(
-        "Execution-path residency (paper reports an 88% average; vortex the lowest)",
-        &columns,
-        &rows,
-    ))
 }
 
 /// One row of a seed-sensitivity table: per column, a `(mean, ci95)` pair.
@@ -430,35 +215,43 @@ fn check_ci(what: &str, agg: &Aggregate, budget: SimBudget) -> Result<(), String
     Ok(())
 }
 
+/// The simulation result of one cell of a seed-sensitivity run.
+fn seeded_cell(
+    run: &ScenarioRun,
+    bench: Benchmark,
+    seed: u64,
+    machine: Machine,
+    node: TechNode,
+) -> Result<&SimResult, String> {
+    let clock = if machine.uses_clock_axis() {
+        run.scenario.clocks[0]
+    } else {
+        run.scenario.baseline_clock
+    };
+    Ok(&run.result_at(bench, seed, machine, node, clock)?.sim)
+}
+
 /// Seed sensitivity of Figure 11: the reg-alloc and Flywheel speedups as
-/// mean ± 95% CI over [`sensitivity_seeds`] (each seed is an independent
-/// workload-synthesis draw of the same statistical profile, so the interval
-/// measures how much of the figure is synthesis luck rather than mechanism).
-pub fn fig11_seed_sensitivity_table(
-    src: &mut Source<'_>,
-    budget: SimBudget,
-) -> Result<String, String> {
-    let seeds = sensitivity_seeds();
+/// mean ± 95% CI over the seed axis of `run`, a Figure 11 preset run over
+/// [`sensitivity_seeds`] (each seed is an independent workload-synthesis draw
+/// of the same statistical profile, so the interval measures how much of the
+/// figure is synthesis luck rather than mechanism).
+fn fig11_seed_sensitivity_table(run: &ScenarioRun) -> Result<String, String> {
+    let s = &run.scenario;
+    let node = s.nodes[0];
     let columns = vec!["reg-alloc".to_owned(), "flywheel".to_owned()];
     let mut rows = Vec::new();
-    for &bench in Benchmark::paper_suite() {
+    for &bench in &s.benchmarks {
         let mut ra = Aggregate::new();
         let mut fly = Aggregate::new();
-        for &seed in seeds {
-            let base = src.baseline_seeded(bench, BaselineConfig::paper(node()), seed, budget)?;
-            let regalloc = src.flywheel_seeded(
-                bench,
-                FlywheelConfig::register_allocation_only(node()),
-                seed,
-                budget,
-            )?;
-            let full =
-                src.flywheel_seeded(bench, FlywheelConfig::paper_iso_clock(node()), seed, budget)?;
-            ra.add(regalloc.speedup_over(&base));
-            fly.add(full.speedup_over(&base));
+        for &seed in &s.seeds {
+            let cell = |m| seeded_cell(run, bench, seed, m, node);
+            let base = cell(Machine::Baseline)?;
+            ra.add(cell(Machine::RegAlloc)?.speedup_over(base));
+            fly.add(cell(Machine::Flywheel)?.speedup_over(base));
         }
-        check_ci(&format!("{}/reg-alloc", bench.name()), &ra, budget)?;
-        check_ci(&format!("{}/flywheel", bench.name()), &fly, budget)?;
+        check_ci(&format!("{}/reg-alloc", bench.name()), &ra, s.budget)?;
+        check_ci(&format!("{}/flywheel", bench.name()), &fly, s.budget)?;
         rows.push(CiRow {
             bench: bench.name(),
             values: vec![
@@ -470,7 +263,7 @@ pub fn fig11_seed_sensitivity_table(
     Ok(format_ci_table(
         &format!(
             "Seed sensitivity (Figure 11): speedup mean ± 95% CI over {} seeds",
-            seeds.len()
+            s.seeds.len()
         ),
         &columns,
         &rows,
@@ -478,26 +271,22 @@ pub fn fig11_seed_sensitivity_table(
 }
 
 /// Seed sensitivity of Figure 15: the per-node relative energy of Flywheel
-/// (FE100%, BE50%) as mean ± 95% CI over [`sensitivity_seeds`].
-pub fn fig15_seed_sensitivity_table(
-    src: &mut Source<'_>,
-    budget: SimBudget,
-) -> Result<String, String> {
-    let seeds = sensitivity_seeds();
-    let nodes = TechNode::power_study_nodes();
-    let columns: Vec<String> = nodes.iter().map(|n| n.to_string()).collect();
+/// (FE100%, BE50%) as mean ± 95% CI over the seed axis of `run`, a Figure 15
+/// preset run over [`sensitivity_seeds`].
+fn fig15_seed_sensitivity_table(run: &ScenarioRun) -> Result<String, String> {
+    let s = &run.scenario;
+    let columns: Vec<String> = s.nodes.iter().map(|n| n.to_string()).collect();
     let mut rows = Vec::new();
-    for &bench in Benchmark::paper_suite() {
+    for &bench in &s.benchmarks {
         let mut values = Vec::new();
-        for &n in nodes {
+        for &n in &s.nodes {
             let mut energy = Aggregate::new();
-            for &seed in seeds {
-                let base = src.baseline_seeded(bench, BaselineConfig::paper(n), seed, budget)?;
-                let fly =
-                    src.flywheel_seeded(bench, FlywheelConfig::paper(n, 100, 50), seed, budget)?;
-                energy.add(fly.energy_ratio_over(&base));
+            for &seed in &s.seeds {
+                let base = seeded_cell(run, bench, seed, Machine::Baseline, n)?;
+                let fly = seeded_cell(run, bench, seed, Machine::Flywheel, n)?;
+                energy.add(fly.energy_ratio_over(base));
             }
-            check_ci(&format!("{}/{n}", bench.name()), &energy, budget)?;
+            check_ci(&format!("{}/{n}", bench.name()), &energy, s.budget)?;
             values.push((energy.mean(), energy.ci95_halfwidth()));
         }
         rows.push(CiRow {
@@ -508,32 +297,27 @@ pub fn fig15_seed_sensitivity_table(
     Ok(format_ci_table(
         &format!(
             "Seed sensitivity (Figure 15): relative energy mean ± 95% CI over {} seeds",
-            seeds.len()
+            s.seeds.len()
         ),
         &columns,
         &rows,
     ))
 }
 
-/// All figure tables, in the `experiments all` order.
+/// All figure tables, in the `experiments all` order, followed by the
+/// seed-sensitivity tables: every grid of [`report_grids`] run through `src`.
 pub fn all_figure_tables(src: &mut Source<'_>, budget: SimBudget) -> Result<String, String> {
+    let runs = report_grids(budget)
+        .iter()
+        .map(|s| src.run(s))
+        .collect::<Result<Vec<_>, String>>()?;
+    let (figures, seeded) = runs.split_at(runs.len() - SEEDED_FIGURES.len());
     let mut out = String::new();
-    out.push_str(&fig2_table(src, budget)?);
-    out.push_str(&fig11_table(src, budget)?);
-    out.push_str(&clock_sweep_table(
-        src,
-        ClockSweepMetric::Performance,
-        budget,
-    )?);
-    out.push_str(&clock_sweep_table(src, ClockSweepMetric::Energy, budget)?);
-    out.push_str(&clock_sweep_table(src, ClockSweepMetric::Power, budget)?);
-    out.push_str(&fig15_table(src, budget)?);
-    for &n in TechNode::power_study_nodes() {
-        out.push_str(&leakage_attribution_table(src, n, budget)?);
+    for run in figures {
+        out.push_str(&run.figure_tables()?);
     }
-    out.push_str(&ec_residency_table(src, budget)?);
-    out.push_str(&fig11_seed_sensitivity_table(src, budget)?);
-    out.push_str(&fig15_seed_sensitivity_table(src, budget)?);
+    out.push_str(&fig11_seed_sensitivity_table(&seeded[0])?);
+    out.push_str(&fig15_seed_sensitivity_table(&seeded[1])?);
     Ok(out)
 }
 
@@ -1152,9 +936,12 @@ mod tests {
     fn read_only_source_refuses_to_simulate() {
         let mut store = ResultStore::in_memory();
         let mut src = Source::read_only(&mut store);
-        let err = fig2_table(&mut src, SimBudget::new(100, 400)).unwrap_err();
+        let err = src
+            .run(&Scenario::fig2(SimBudget::new(100, 400)))
+            .unwrap_err();
         assert!(err.contains("no stored record"), "got: {err}");
         assert_eq!(src.summary(), StoreSummary::default());
+        assert!(store.is_empty());
     }
 
     #[test]

@@ -1,17 +1,18 @@
 //! End-to-end tests of the self-regenerating docs pipeline: populate a store,
 //! render the documents, verify the `--check` logic accepts faithful docs and
-//! catches tampered ones, and prove the regenerated tables are byte-identical
-//! to the `experiments` binary's simulation path.
+//! catches tampered ones, and prove the committed store holds every cell the
+//! published tables read.
 
+use flywheel_bench::scenario::Scenario;
 use flywheel_bench::store::ResultStore;
-use flywheel_bench::{format_table, run_baseline, run_flywheel, Row};
-use flywheel_core::FlywheelConfig;
+use flywheel_bench::{experiment_budget, format_table, shared_trace, Row, EXPERIMENT_SEED};
+use flywheel_core::{FlywheelConfig, FlywheelSim};
 use flywheel_report::{
-    check_block, diff_texts, ec_residency_table, experiments_block, fig11_table, patch_block,
-    populate, results_markdown, Source, BLOCK_BEGIN, BLOCK_END,
+    all_figure_tables, check_block, diff_texts, experiments_block, patch_block, populate,
+    report_grids, results_markdown, sensitivity_seeds, Source, BLOCK_BEGIN, BLOCK_END,
 };
 use flywheel_timing::TechNode;
-use flywheel_uarch::SimBudget;
+use flywheel_uarch::{BaselineConfig, BaselineSim, SimBudget};
 use flywheel_workloads::Benchmark;
 
 fn tiny_budget() -> SimBudget {
@@ -70,58 +71,92 @@ fn pipeline_regenerates_checks_and_catches_tampering() {
 #[test]
 fn store_backed_tables_match_the_simulation_path_byte_for_byte() {
     // Render Figure 11 and the EC-residency study from stored records and
-    // recompute them the way the experiments binary does, through the same
-    // shared format_table; the bytes must agree.
+    // recompute them from direct kernel runs, through the same shared
+    // format_table; the bytes must agree.
     let budget = tiny_budget();
     let mut store = ResultStore::in_memory();
     populate(&mut store, budget).unwrap();
     let mut src = Source::read_only(&mut store);
-    let from_store = fig11_table(&mut src, budget).unwrap();
-    let residency_from_store = ec_residency_table(&mut src, budget).unwrap();
+    let fig11 = src.run(&Scenario::fig11(budget)).unwrap();
+    let residency = src.run(&Scenario::ec_residency(budget)).unwrap();
+    assert_eq!(src.summary().simulated, 0, "read-only sources only recall");
 
     let node = TechNode::N130;
-    let columns = vec!["reg-alloc".to_owned(), "flywheel".to_owned()];
-    let mut rows = Vec::new();
-    let mut res_rows = Vec::new();
+    let (mut rows, mut res_rows) = (Vec::new(), Vec::new());
     for &bench in Benchmark::paper_suite() {
-        let base = run_baseline(bench, node, budget);
-        let regalloc = run_flywheel(
-            bench,
-            FlywheelConfig::register_allocation_only(node),
-            budget,
-        );
-        let flywheel = run_flywheel(bench, FlywheelConfig::paper_iso_clock(node), budget);
-        rows.push(Row {
+        let trace = shared_trace(bench, EXPERIMENT_SEED, budget);
+        let base = BaselineSim::new(BaselineConfig::paper(node), trace.cursor()).run(budget);
+        let fly = |cfg| FlywheelSim::new(cfg, trace.cursor()).run(budget);
+        let regalloc = fly(FlywheelConfig::register_allocation_only(node));
+        let flywheel = fly(FlywheelConfig::paper_iso_clock(node));
+        let row = |values| Row {
             bench: bench.name(),
-            values: vec![regalloc.speedup_over(&base), flywheel.speedup_over(&base)],
-        });
-        res_rows.push(Row {
-            bench: bench.name(),
-            values: vec![
-                flywheel.flywheel.ec_residency,
-                flywheel.flywheel.ec_hit_rate(),
-            ],
-        });
+            values,
+        };
+        rows.push(row(vec![
+            regalloc.speedup_over(&base),
+            flywheel.speedup_over(&base),
+        ]));
+        let f = flywheel.flywheel;
+        res_rows.push(row(vec![f.ec_residency, f.ec_hit_rate()]));
     }
+    let columns = |names: [&str; 2]| names.map(str::to_owned);
     let expected = format_table(
         "Figure 11: performance at the baseline clock, normalized to the baseline",
-        &columns,
+        &columns(["reg-alloc", "flywheel"]),
         &rows,
     );
-    assert_eq!(from_store, expected);
-    let expected_res = format_table(
+    assert_eq!(fig11.fig11_table().unwrap(), expected);
+    let expected = format_table(
         "Execution-path residency (paper reports an 88% average; vortex the lowest)",
-        &["residency".to_owned(), "ec hit rate".to_owned()],
+        &columns(["residency", "ec hit rate"]),
         &res_rows,
     );
-    assert_eq!(residency_from_store, expected_res);
+    assert_eq!(residency.ec_residency_table().unwrap(), expected);
+}
+
+#[test]
+fn committed_store_holds_every_cell_the_report_reads() {
+    // Keys only, nothing simulated: every grid `report --check` runs must be
+    // fully recallable from the committed store.
+    let budget = experiment_budget();
+    let grids = report_grids(budget);
+    let shape: Vec<(&str, &[u64])> = grids
+        .iter()
+        .map(|s| (s.name.as_str(), s.seeds.as_slice()))
+        .collect();
+    let one: &[u64] = &[flywheel_bench::EXPERIMENT_SEED];
+    assert_eq!(
+        shape,
+        [
+            ("fig2", one),
+            ("fig11", one),
+            ("fig12", one),
+            ("fig15", one),
+            ("ec_residency", one),
+            ("fig11", sensitivity_seeds()),
+            ("fig15", sensitivity_seeds()),
+        ]
+    );
+    let store = ResultStore::open(concat!(env!("CARGO_MANIFEST_DIR"), "/../../results.store"))
+        .expect("committed store opens");
+    for s in &grids {
+        for cell in s.expand() {
+            assert!(
+                store.contains(&cell.key(s.budget)),
+                "committed results.store lacks {} ({} grid)",
+                cell.label(),
+                s.name
+            );
+        }
+    }
 }
 
 #[test]
 fn missing_records_name_the_populate_commands() {
     let mut store = ResultStore::in_memory();
     let mut src = Source::read_only(&mut store);
-    let err = fig11_table(&mut src, tiny_budget()).unwrap_err();
+    let err = all_figure_tables(&mut src, tiny_budget()).unwrap_err();
     assert!(err.contains("--populate"), "got: {err}");
     assert!(err.contains("--store results.store"), "got: {err}");
 }

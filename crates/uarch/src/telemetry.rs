@@ -10,11 +10,12 @@
 //! keeps telemetry-off runs byte-identical to the golden transcript and
 //! within noise of the committed throughput numbers.
 //!
-//! The queue itself ([`TelemetryQueue`]) is bounded and never blocks the
-//! simulating thread: `push` uses `try_lock`, and a full (or momentarily
-//! contended) queue increments an explicit dropped-events counter instead of
-//! waiting. A background drain thread (owned by `flywheel-bench`, which also
-//! owns the on-disk event log) empties the queue concurrently.
+//! The queue itself ([`TelemetryQueue`]) is bounded: a full queue increments
+//! an explicit dropped-events counter instead of growing. Its lock is only
+//! held briefly (the drain swaps the buffer out), so `push` waits for it
+//! rather than dropping on contention. A background drain thread (owned by
+//! `flywheel-bench`, which also owns the on-disk event log) empties the
+//! queue concurrently.
 //!
 //! Telemetry is observational only: a recorder reads kernel state and never
 //! writes it, so armed and disarmed runs simulate identical machines.
@@ -167,11 +168,11 @@ struct QueueInner {
     counts: HashMap<Arc<str>, u64>,
 }
 
-/// A bounded multi-producer event queue that never blocks a producer.
+/// A bounded multi-producer event queue.
 ///
-/// `push` takes the mutex with `try_lock`; if the drain thread happens to
-/// hold it, or the queue is at capacity, the event is counted as dropped and
-/// the simulating thread moves on immediately.
+/// When the queue is at capacity, `push` counts the event as dropped and the
+/// simulating thread moves on immediately. Lock holders only do brief,
+/// bounded work, so waiting for the lock is never a reason to drop.
 pub struct TelemetryQueue {
     capacity: usize,
     inner: Mutex<QueueInner>,
@@ -196,10 +197,10 @@ impl TelemetryQueue {
         }
     }
 
-    /// Appends one event under `tag`. Never blocks: a full queue or a
-    /// momentarily contended lock drops the event and bumps the counter.
+    /// Appends one event under `tag`. A full queue drops the event and bumps
+    /// the counter.
     pub fn push(&self, tag: &Arc<str>, event: TelemetryEvent) {
-        match self.inner.try_lock() {
+        match self.inner.lock() {
             Ok(mut inner) => {
                 if inner.events.len() >= self.capacity {
                     self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -215,11 +216,12 @@ impl TelemetryQueue {
         }
     }
 
-    /// Takes every queued event (used by the drain thread).
-    pub fn drain(&self) -> Vec<(Arc<str>, TelemetryEvent)> {
+    /// Takes every queued event (used by the drain thread), swapping the
+    /// buffer out so the lock is only held briefly.
+    pub fn drain(&self) -> VecDeque<(Arc<str>, TelemetryEvent)> {
         match self.inner.lock() {
-            Ok(mut inner) => inner.events.drain(..).collect(),
-            Err(_) => Vec::new(),
+            Ok(mut inner) => std::mem::take(&mut inner.events),
+            Err(_) => VecDeque::new(),
         }
     }
 
@@ -242,7 +244,7 @@ impl TelemetryQueue {
         self.accepted.load(Ordering::Relaxed)
     }
 
-    /// Total events dropped (queue full or lock contended).
+    /// Total events dropped (queue full, or its lock poisoned by a panic).
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
