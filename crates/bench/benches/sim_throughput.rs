@@ -5,7 +5,10 @@
 //! table, ready-list wakeup, allocation-free cycle loop): any regression in the
 //! per-cycle bookkeeping shows up directly as lower simulated-MIPS here. Each
 //! run replays the shared recorded trace directly on the kernel, as the
-//! `golden` binary does, so the numbers measure the kernel alone.
+//! `golden` binary does, so the numbers measure the kernel alone. The
+//! store-forward-heavy `ststorm` stress program keeps many loads waiting
+//! behind unresolved stores, so its runs time the scheduler's parked-load
+//! path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use flywheel_bench::{shared_trace, simulated_mips, EXPERIMENT_SEED};
@@ -71,10 +74,22 @@ fn sim_throughput(c: &mut Criterion) {
     group.bench_function("baseline_equake_210k", |b| {
         b.iter(|| criterion::black_box(baseline(Benchmark::Equake, budget)))
     });
+    group.bench_function("baseline_ststorm_210k", |b| {
+        b.iter(|| criterion::black_box(baseline(Benchmark::StoreStorm, budget)))
+    });
     group.bench_function("flywheel_iso_gzip_210k", |b| {
         b.iter(|| {
             criterion::black_box(flywheel(
                 Benchmark::Gzip,
+                FlywheelConfig::paper_iso_clock(node),
+                budget,
+            ))
+        })
+    });
+    group.bench_function("flywheel_iso_ststorm_210k", |b| {
+        b.iter(|| {
+            criterion::black_box(flywheel(
+                Benchmark::StoreStorm,
                 FlywheelConfig::paper_iso_clock(node),
                 budget,
             ))

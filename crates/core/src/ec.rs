@@ -4,6 +4,7 @@
 use crate::config::EcConfig;
 use flywheel_isa::{Pc, StaticInst};
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// One instruction recorded in a trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -125,7 +126,7 @@ impl TraceBuilder {
         for (_, inst) in &insts {
             unit_sizes[inst.unit as usize] += 1;
         }
-        insts.sort_by_key(|(order, _)| *order);
+        insts.sort_unstable_by_key(|(order, _)| *order);
         // Re-tag the program-ordered instructions with contiguous issue units whose
         // sizes match the recorded schedule. This keeps the replay cost (one unit per
         // cycle) equal to the creation-time schedule length while letting the replay
@@ -182,10 +183,13 @@ impl EcStats {
 /// Capacity is managed in instruction slots (`size_bytes / bytes_per_inst`); adding a
 /// trace beyond capacity evicts the least recently used traces. A trace with the same
 /// start PC as an existing one replaces it (the newer schedule wins).
+///
+/// Traces are shared: a hit hands out the stored [`Rc`], so starting a replay
+/// never copies the recorded instructions.
 #[derive(Debug, Clone)]
 pub struct ExecutionCache {
     cfg: EcConfig,
-    traces: HashMap<Pc, (Trace, u64)>,
+    traces: HashMap<Pc, (Rc<Trace>, u64)>,
     used_slots: u64,
     access_stamp: u64,
     stats: EcStats,
@@ -228,20 +232,19 @@ impl ExecutionCache {
     }
 
     /// Looks up a trace starting at `pc`, refreshing its LRU stamp on a hit.
-    pub fn lookup(&mut self, pc: Pc) -> Option<&Trace> {
+    pub fn lookup(&mut self, pc: Pc) -> Option<&Rc<Trace>> {
         self.stats.lookups += 1;
         self.access_stamp += 1;
-        if let Some((_, stamp)) = self.traces.get_mut(&pc) {
-            *stamp = self.access_stamp;
-            self.stats.hits += 1;
-        }
-        self.traces.get(&pc).map(|(t, _)| t)
+        let (trace, stamp) = self.traces.get_mut(&pc)?;
+        *stamp = self.access_stamp;
+        self.stats.hits += 1;
+        Some(trace)
     }
 
     /// Checks for a trace at `pc` without counting a look-up (used by tests and by
     /// the harness for reporting).
     pub fn peek(&self, pc: Pc) -> Option<&Trace> {
-        self.traces.get(&pc).map(|(t, _)| t)
+        self.traces.get(&pc).map(|(t, _)| &**t)
     }
 
     /// Inserts a finished trace, evicting older traces if the data array is full.
@@ -275,7 +278,7 @@ impl ExecutionCache {
         self.stats.traces_stored += 1;
         self.stats.blocks_written += blocks;
         self.traces
-            .insert(trace.start_pc, (trace, self.access_stamp));
+            .insert(trace.start_pc, (Rc::new(trace), self.access_stamp));
         blocks
     }
 

@@ -118,7 +118,13 @@ impl PoolRenamer {
     /// register equals its pool size minus one (one entry always holds the last
     /// committed value).
     pub fn rename(&mut self, inst: &StaticInst, prf: &mut PhysRegFile) -> Option<RenameOutcome> {
-        let srcs: SrcList = inst.srcs().map(|s| self.mapping[s.flat_index()]).collect();
+        let mut srcs = SrcList::default();
+        if let Some(s) = inst.src1() {
+            srcs.push(self.mapping[s.flat_index()]);
+        }
+        if let Some(s) = inst.src2() {
+            srcs.push(self.mapping[s.flat_index()]);
+        }
         let (dst, prev, dst_arch) = if let Some(d) = inst.dst() {
             let idx = d.flat_index();
             self.rename_counts[idx] += 1;

@@ -12,6 +12,7 @@ use flywheel_uarch::{
     SimResult, StoreIndex,
 };
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 /// Operating mode of the machine (paper §3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,7 +43,8 @@ struct DvfsState {
 /// State of an in-progress trace replay.
 #[derive(Debug, Clone)]
 struct Replay {
-    trace: Trace,
+    /// The trace being replayed, shared with the Execution Cache.
+    trace: Rc<Trace>,
     /// Oracle instructions matched (program-order aligned with `trace.insts`).
     pulled: Vec<DynInst>,
     /// Set once the actual instruction stream departs from the recorded path.
@@ -432,7 +434,10 @@ impl<I: Iterator<Item = DynInst>> FlywheelSim<I> {
             };
             // A load behind an older unresolved store wakes through that
             // store's own events (it is dispatched, woken or completing).
-            if e.d.stat.op() == OpClass::Load && self.stores.blocks_load(seq) {
+            // The scheduler parks such loads off the ready list.
+            let blocked = e.d.stat.op() == OpClass::Load && self.stores.blocks_load(seq);
+            debug_assert!(!blocked, "store-blocked load {seq} on the ready list");
+            if blocked {
                 continue;
             }
             let arrive = self.be_cycle_time_ps(e.ready_cycle.saturating_add(wakeup_extra));
@@ -594,7 +599,7 @@ impl<I: Iterator<Item = DynInst>> FlywheelSim<I> {
         // Mirroring the paper's fast-forward discipline, measurement starts with warm
         // predictor/cache state but lets the Execution Cache refill with traces built
         // under that warm behaviour. A replay that is already in progress keeps its
-        // (cloned) trace and simply runs to its end.
+        // (shared) trace and simply runs to its end.
         self.ec.invalidate_all();
         self.builder = None;
         self.builder_dispatched = 0;
@@ -762,7 +767,7 @@ impl<I: Iterator<Item = DynInst>> FlywheelSim<I> {
             // the machine switches to the alternative execution path; on a miss the
             // finished trace is sealed into the EC and a new one starts here.
             if self.cfg.execution_cache && self.builder_dispatched >= self.cfg.ec.max_trace_insts {
-                if self.try_switch_to_execution(pc, None) {
+                if self.try_switch_to_execution(pc) {
                     return;
                 }
                 self.store_current_trace();
@@ -1033,7 +1038,7 @@ impl<I: Iterator<Item = DynInst>> FlywheelSim<I> {
 
         // Search the EC for a trace starting at the correct target.
         let target = self.inflight[branch_seq].d.next_pc;
-        if self.cfg.execution_cache && self.try_switch_to_execution(target, Some(branch_seq)) {
+        if self.cfg.execution_cache && self.try_switch_to_execution(target) {
             return;
         }
         // Miss: restart the front end at the correct target; a new trace starts with
@@ -1074,7 +1079,7 @@ impl<I: Iterator<Item = DynInst>> FlywheelSim<I> {
     /// Looks up `target` in the EC and, on a hit, switches to trace-execution mode.
     /// Any instructions still waiting in the front-end queue are handed back to the
     /// oracle stream (they will be replayed from the EC instead).
-    fn try_switch_to_execution(&mut self, target: Pc, _after_branch: Option<u64>) -> bool {
+    fn try_switch_to_execution(&mut self, target: Pc) -> bool {
         self.energy.record(Unit::EcTagLookup, 1);
         let Some(trace) = self.ec.lookup(target).cloned() else {
             return false;
@@ -1110,15 +1115,19 @@ impl<I: Iterator<Item = DynInst>> FlywheelSim<I> {
         let wakeup_extra = if self.cfg.base.pipelined_wakeup { 1 } else { 0 };
         let mut issued_count = 0;
         self.issued_scratch.clear();
-        self.sched.release_due(&self.inflight, cycle);
+        self.sched.release_due(&self.inflight, &self.stores, cycle);
 
         // Scan only woken entries (all sources produced), in program order — the
-        // same order the original kernel walked the whole Issue Window in.
-        for i in 0..self.sched.ready_len() {
+        // same order the original kernel walked the whole Issue Window in. A
+        // store issued mid-scan returns the loads it blocked to the list behind
+        // the scan position, so the length is re-read on every step.
+        let mut i = 0;
+        while i < self.sched.ready_len() {
             if issued_count >= self.cfg.base.issue_width {
                 break;
             }
             let seq = self.sched.ready_seq(i);
+            i += 1;
             let (op, srcs_len, visible_at, ready_cycle, mem_addr, pc, stat) = {
                 let e = &self.inflight[seq];
                 (
@@ -1140,7 +1149,9 @@ impl<I: Iterator<Item = DynInst>> FlywheelSim<I> {
             if !self.fus.can_issue(op) {
                 continue;
             }
-            if op == OpClass::Load && self.stores.blocks_load(seq) {
+            let blocked = op == OpClass::Load && self.stores.blocks_load(seq);
+            debug_assert!(!blocked, "store-blocked load {seq} on the ready list");
+            if blocked {
                 continue;
             }
             assert!(self.fus.try_issue(op));
@@ -1187,8 +1198,8 @@ impl<I: Iterator<Item = DynInst>> FlywheelSim<I> {
             (e.d.stat.op(), e.d.mem.map(|m| m.addr & !63))
         };
         if op == OpClass::Store {
-            self.stores
-                .on_store_issue(seq, line.expect("stores carry an address"));
+            let line = line.expect("stores carry an address");
+            self.sched.issue_store(&mut self.stores, seq, line);
         }
         self.completions.push(complete_at, seq);
     }

@@ -5,68 +5,98 @@ use crate::config::{BaselineConfig, CacheConfig};
 /// A set-associative cache with LRU replacement.
 ///
 /// Only tags are tracked (the simulator is trace driven and never needs data).
+/// Tags and LRU stamps live in flat arrays indexed `set * assoc + way`, and the
+/// set and tag come from a shift and a mask (set count and line size are
+/// powers of two, which [`BaselineConfig::validate`] enforces).
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// `tags[set][way]` — `None` means invalid.
-    tags: Vec<Vec<Option<u64>>>,
+    assoc: usize,
+    /// log2 of the line size.
+    line_shift: u32,
+    /// log2 of the set count.
+    set_shift: u32,
+    /// `tags[set * assoc + way]`; [`INVALID_TAG`] marks an empty way.
+    tags: Vec<u64>,
     /// LRU stamps parallel to `tags`.
-    stamps: Vec<Vec<u64>>,
+    stamps: Vec<u64>,
     stamp: u64,
     accesses: u64,
     misses: u64,
 }
 
+/// Tag of an invalid way. Real tags are line numbers shifted right by the set
+/// bits, so they never reach it.
+const INVALID_TAG: u64 = u64::MAX;
+
 impl Cache {
     /// Creates an empty (all-invalid) cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the set count or the line size is not a power of two.
     pub fn new(cfg: CacheConfig) -> Self {
         let sets = cfg.sets();
+        assert!(
+            sets.is_power_of_two() && cfg.line_bytes.is_power_of_two(),
+            "cache set count ({sets}) and line size ({}) must be powers of two",
+            cfg.line_bytes
+        );
+        let ways = sets * cfg.assoc as usize;
         Cache {
             cfg,
-            tags: vec![vec![None; cfg.assoc as usize]; sets],
-            stamps: vec![vec![0; cfg.assoc as usize]; sets],
+            assoc: cfg.assoc as usize,
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
+            tags: vec![INVALID_TAG; ways],
+            stamps: vec![0; ways],
             stamp: 0,
             accesses: 0,
             misses: 0,
         }
     }
 
-    fn index_and_tag(&self, addr: u64) -> (usize, u64) {
-        let line = addr / self.cfg.line_bytes as u64;
-        let set = (line % self.tags.len() as u64) as usize;
-        let tag = line / self.tags.len() as u64;
-        (set, tag)
+    /// The first way index of `addr`'s set, and its tag.
+    fn base_and_tag(&self, addr: u64) -> (usize, u64) {
+        let line = addr >> self.line_shift;
+        let set = (line & ((1 << self.set_shift) - 1)) as usize;
+        let tag = line >> self.set_shift;
+        debug_assert_ne!(tag, INVALID_TAG);
+        (set * self.assoc, tag)
     }
 
     /// Accesses `addr`, allocating the line on a miss. Returns `true` on a hit.
     pub fn access(&mut self, addr: u64) -> bool {
         self.stamp += 1;
         self.accesses += 1;
-        let (set, tag) = self.index_and_tag(addr);
-        let ways = &mut self.tags[set];
-        if let Some(way) = ways.iter().position(|t| *t == Some(tag)) {
-            self.stamps[set][way] = self.stamp;
+        let (base, tag) = self.base_and_tag(addr);
+        let ways = &self.tags[base..base + self.assoc];
+        if let Some(way) = ways.iter().position(|&t| t == tag) {
+            self.stamps[base + way] = self.stamp;
             return true;
         }
         self.misses += 1;
-        // Choose an invalid way if present, otherwise the LRU way.
-        let victim = ways.iter().position(|t| t.is_none()).unwrap_or_else(|| {
-            self.stamps[set]
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, s)| **s)
-                .map(|(i, _)| i)
-                .expect("cache must have at least one way")
-        });
-        self.tags[set][victim] = Some(tag);
-        self.stamps[set][victim] = self.stamp;
+        // Choose the first invalid way if present, otherwise the first LRU way.
+        let victim = ways
+            .iter()
+            .position(|&t| t == INVALID_TAG)
+            .unwrap_or_else(|| {
+                self.stamps[base..base + self.assoc]
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, s)| **s)
+                    .map(|(i, _)| i)
+                    .expect("cache must have at least one way")
+            });
+        self.tags[base + victim] = tag;
+        self.stamps[base + victim] = self.stamp;
         false
     }
 
     /// Checks whether `addr` is resident without updating any state.
     pub fn contains(&self, addr: u64) -> bool {
-        let (set, tag) = self.index_and_tag(addr);
-        self.tags[set].contains(&Some(tag))
+        let (base, tag) = self.base_and_tag(addr);
+        self.tags[base..base + self.assoc].contains(&tag)
     }
 
     /// Total accesses so far.
@@ -229,6 +259,37 @@ mod tests {
         assert!(!c.access(d)); // evicts b
         assert!(c.access(a), "a should still be resident");
         assert!(!c.access(b), "b should have been evicted");
+    }
+
+    #[test]
+    fn flat_layout_keeps_lru_victim_order_in_a_four_way_set() {
+        // 2 sets x 4 ways x 64B lines; lines 0x80 apart share set 0.
+        let mut c = Cache::new(CacheConfig::new(512, 4, 64));
+        let line = |i: u64| i * 0x80;
+        for i in 0..4 {
+            assert!(!c.access(line(i)), "cold fill of way {i}");
+        }
+        // Recency order, oldest first: 1, 3, 0, 2.
+        assert!(c.access(line(1)));
+        assert!(c.access(line(3)));
+        assert!(c.access(line(0)));
+        assert!(c.access(line(2)));
+        // Filling past capacity evicts in exactly that order.
+        let mut resident = vec![0, 1, 2, 3];
+        for (new, evicted) in [(4, 1), (5, 3), (6, 0), (7, 2)] {
+            assert!(!c.access(line(new)));
+            assert!(
+                !c.contains(line(evicted)),
+                "line {evicted} is the LRU victim"
+            );
+            resident.retain(|&r| r != evicted);
+            resident.push(new);
+            for &r in &resident {
+                assert!(c.contains(line(r)), "line {r} stays resident");
+            }
+        }
+        // The other set was never touched.
+        assert!(!c.contains(0x40));
     }
 
     #[test]

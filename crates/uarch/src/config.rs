@@ -271,6 +271,20 @@ impl BaselineConfig {
         if self.front_end_stages == 0 {
             return Err("the front end must have at least one stage".into());
         }
+        for (name, c) in [
+            ("icache", self.icache),
+            ("dcache", self.dcache),
+            ("l2", self.l2),
+        ] {
+            // Caches index sets with a shift and a mask.
+            if c.assoc == 0 || !c.line_bytes.is_power_of_two() || !c.sets().is_power_of_two() {
+                return Err(format!(
+                    "{name}: associativity must be non-zero, and the line size ({} B) and \
+                     set count must be powers of two",
+                    c.line_bytes
+                ));
+            }
+        }
         Ok(())
     }
 }
@@ -356,6 +370,17 @@ mod tests {
         assert_eq!(c.bpred.pht_entries, 2048);
         assert_eq!(c.fus.count(flywheel_isa::FuKind::IntAlu), 4);
         assert_eq!(c.fus.count(flywheel_isa::FuKind::FpMulDiv), 1);
+    }
+
+    #[test]
+    fn validate_rejects_a_non_power_of_two_set_count() {
+        let mut c = BaselineConfig::paper_default();
+        // 48 KB, 4-way, 64 B lines: 192 sets.
+        c.dcache = CacheConfig::new(48 * 1024, 4, 64);
+        let err = c
+            .validate()
+            .expect_err("192 sets cannot be indexed by a mask");
+        assert!(err.contains("dcache"), "{err}");
     }
 
     #[test]

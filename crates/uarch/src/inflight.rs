@@ -14,7 +14,8 @@
 //!   sources are still being produced register as waiters on those physical
 //!   registers; when a producer issues, its consumers are woken. The issue stage
 //!   then scans only woken entries (in program order) instead of the whole Issue
-//!   Window.
+//!   Window. Woken loads behind an older unresolved store are parked off the
+//!   ready list until that store issues.
 //! * [`StoreIndex`] — the earliest unresolved (not yet address-resolved) store
 //!   and the set of resolved stores still in the LSQ, so the "is this load
 //!   blocked by an older store" and store-to-load forwarding checks no longer
@@ -27,7 +28,7 @@
 //! `flywheel-bench`).
 
 use crate::regs::{PhysReg, PhysRegFile, RenameOutcome};
-use flywheel_isa::DynInst;
+use flywheel_isa::{DynInst, OpClass};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -296,10 +297,18 @@ impl std::ops::IndexMut<u64> for InflightTable {
 /// Entries whose operands are scheduled but not yet available — a woken
 /// consumer's `ready_cycle` is its producer's issue cycle *plus the execution
 /// latency*, which for a memory-miss producer lies hundreds of cycles in the
-/// future — are parked in a time-indexed hold queue instead of the ready list,
+/// future — wait in a time-indexed hold queue instead of the ready list,
 /// so the per-cycle issue scan never revisits instructions that provably cannot
 /// issue yet. The driver calls [`Self::release_due`] at the top of each issue
 /// scan to move entries whose cycle has come into the ready list.
+///
+/// Released loads that an older unresolved store blocks are parked in a second
+/// sorted list instead, and return to the ready list when the stores ahead of
+/// them resolve ([`Self::issue_store`]). This is exact: an unresolved store
+/// enters the [`StoreIndex`] only at dispatch, in program order, so it is
+/// younger than every load already released and can never block one; and a
+/// squash that removes a store also removes every load it blocked, since
+/// those are younger still.
 #[derive(Debug, Clone)]
 pub struct IssueScheduler {
     /// Per-physical-register list of waiting consumer sequence numbers.
@@ -307,9 +316,12 @@ pub struct IssueScheduler {
     /// sequence numbers are never reused, so a stale entry can only miss).
     waiters: Vec<Vec<u64>>,
     /// Sequence numbers with `pending_srcs == 0` whose `ready_cycle` has been
-    /// reached, sorted ascending (= program order, the order the original
-    /// kernel scanned the Issue Window in).
+    /// reached and that no older unresolved store blocks, sorted ascending
+    /// (= program order, the order the original kernel scanned the Issue
+    /// Window in).
     ready: Vec<u64>,
+    /// Released loads blocked by an older unresolved store, sorted ascending.
+    parked: Vec<u64>,
     /// Entries with `pending_srcs == 0` waiting for their operands to arrive,
     /// as `(ready_cycle + wakeup_extra, seq)`. Squashed entries are skipped
     /// lazily on release.
@@ -330,6 +342,7 @@ impl IssueScheduler {
         IssueScheduler {
             waiters: vec![Vec::new(); phys_regs],
             ready: Vec::new(),
+            parked: Vec::new(),
             held: BinaryHeap::new(),
             wakeup_extra,
             deferred: Vec::new(),
@@ -365,10 +378,11 @@ impl IssueScheduler {
     }
 
     /// Moves every held entry whose operand-arrival cycle has been reached into
-    /// the ready list. Must run before each issue scan. Stale hold entries
+    /// the ready list — or, for a load behind an older unresolved store, into
+    /// the parked list. Must run before each issue scan. Stale hold entries
     /// (squashed or re-dispatched instructions) are validated against the live
     /// table and dropped.
-    pub fn release_due(&mut self, table: &InflightTable, cycle: u64) {
+    pub fn release_due(&mut self, table: &InflightTable, stores: &StoreIndex, cycle: u64) {
         while let Some(&Reverse((due, seq))) = self.held.peek() {
             if due > cycle {
                 break;
@@ -386,8 +400,47 @@ impl IssueScheduler {
             {
                 continue;
             }
-            self.push_ready(seq);
+            if entry.d.stat.op() == OpClass::Load && stores.blocks_load(seq) {
+                insert_sorted(&mut self.parked, seq);
+            } else {
+                insert_sorted(&mut self.ready, seq);
+            }
         }
+    }
+
+    /// Resolves the address of the store `seq` (to cache line `line`) in
+    /// `stores`, and moves the parked loads that no unresolved store blocks
+    /// any more back onto the ready list in program order. Every store issue
+    /// goes through here, so the parked list never holds a load that could
+    /// issue.
+    ///
+    /// The unblocked loads are younger than the store, so a store issued
+    /// mid-scan puts them behind the scan position: a scan that re-reads
+    /// [`Self::ready_len`] on every step still visits them.
+    pub fn issue_store(&mut self, stores: &mut StoreIndex, seq: u64, line: u64) {
+        stores.on_store_issue(seq, line);
+        let cut = match stores.earliest_waiting() {
+            Some(store) => self.parked.partition_point(|&load| load < store),
+            None => self.parked.len(),
+        };
+        if cut == 0 {
+            return;
+        }
+        // Merge the two sorted, disjoint lists from the back, in place.
+        let (mut r, mut p) = (self.ready.len(), cut);
+        self.ready.resize(r + cut, 0);
+        while p > 0 {
+            let out = r + p - 1;
+            debug_assert!(r == 0 || self.ready[r - 1] != self.parked[p - 1]);
+            if r > 0 && self.ready[r - 1] > self.parked[p - 1] {
+                self.ready[out] = self.ready[r - 1];
+                r -= 1;
+            } else {
+                self.ready[out] = self.parked[p - 1];
+                p -= 1;
+            }
+        }
+        self.parked.drain(..cut);
     }
 
     /// The earliest hold-queue deadline, if any (entries may be stale; the
@@ -444,14 +497,6 @@ impl IssueScheduler {
         self.waiters[reg as usize] = waiters;
     }
 
-    fn push_ready(&mut self, seq: u64) {
-        // Duplicate hold entries can survive a squash + re-dispatch race with a
-        // coinciding deadline; inserting once keeps the list a set.
-        if let Err(pos) = self.ready.binary_search(&seq) {
-            self.ready.insert(pos, seq);
-        }
-    }
-
     /// Number of ready (woken) entries.
     pub fn ready_len(&self) -> usize {
         self.ready.len()
@@ -460,6 +505,11 @@ impl IssueScheduler {
     /// The `i`-th ready sequence number in program order.
     pub fn ready_seq(&self, i: usize) -> u64 {
         self.ready[i]
+    }
+
+    /// The parked (store-blocked) loads, in program order.
+    pub fn parked(&self) -> &[u64] {
+        &self.parked
     }
 
     /// Removes issued entries from the ready list. `issued` must be sorted
@@ -477,11 +527,22 @@ impl IssueScheduler {
         });
     }
 
-    /// Drops every ready entry younger than `branch_seq` (mispredict recovery).
-    /// Stale wakeup registrations are skipped lazily.
+    /// Drops every ready and parked entry younger than `branch_seq`
+    /// (mispredict recovery). Stale wakeup registrations are skipped lazily.
     pub fn squash_after(&mut self, branch_seq: u64) {
         let cut = self.ready.partition_point(|&seq| seq <= branch_seq);
         self.ready.truncate(cut);
+        let cut = self.parked.partition_point(|&seq| seq <= branch_seq);
+        self.parked.truncate(cut);
+    }
+}
+
+/// Inserts `seq` into the sorted list once. Duplicate hold entries can survive
+/// a squash + re-dispatch race with a coinciding deadline; inserting once keeps
+/// the list a set.
+fn insert_sorted(list: &mut Vec<u64>, seq: u64) {
+    if let Err(pos) = list.binary_search(&seq) {
+        list.insert(pos, seq);
     }
 }
 
@@ -558,8 +619,9 @@ impl StoreIndex {
 
     /// Moves a store from unresolved to resolved when it issues. Stores that
     /// never dispatched through the Issue Window (trace replay) enter the
-    /// resolved set directly.
-    pub fn on_store_issue(&mut self, seq: u64, line: u64) {
+    /// resolved set directly. Kernels call [`IssueScheduler::issue_store`],
+    /// which also releases the loads the store was blocking.
+    pub(crate) fn on_store_issue(&mut self, seq: u64, line: u64) {
         if let Ok(pos) = self.waiting.binary_search(&seq) {
             self.waiting.remove(pos);
         }
@@ -728,9 +790,9 @@ mod tests {
         // The woken consumers wait in the hold queue until their operand
         // arrives at cycle 17; releasing earlier surfaces nothing.
         assert_eq!(sched.next_due(), Some(17));
-        sched.release_due(&t, 16);
+        sched.release_due(&t, &StoreIndex::new(), 16);
         assert_eq!(sched.ready_len(), 0, "operands arrive at cycle 17");
-        sched.release_due(&t, 17);
+        sched.release_due(&t, &StoreIndex::new(), 17);
         assert_eq!(sched.ready_len(), 3);
         assert_eq!(
             (0..3).map(|i| sched.ready_seq(i)).collect::<Vec<_>>(),
@@ -757,9 +819,9 @@ mod tests {
         prf.mark_ready(2, 10);
         sched.defer_wake(2, 10);
         sched.drain_wakes(&mut t);
-        sched.release_due(&t, 10);
+        sched.release_due(&t, &StoreIndex::new(), 10);
         assert_eq!(sched.ready_len(), 0, "pipelined wakeup adds one cycle");
-        sched.release_due(&t, 11);
+        sched.release_due(&t, &StoreIndex::new(), 11);
         assert_eq!(sched.ready_len(), 1);
     }
 
@@ -782,8 +844,49 @@ mod tests {
         t.remove(8);
         sched.defer_wake(1, 9);
         sched.drain_wakes(&mut t);
-        sched.release_due(&t, 100);
+        sched.release_due(&t, &StoreIndex::new(), 100);
         assert_eq!(sched.ready_len(), 0);
+    }
+
+    #[test]
+    fn store_blocked_loads_park_until_the_store_issues() {
+        let mut t = InflightTable::with_capacity(16);
+        let prf = PhysRegFile::new(64);
+        let mut sched = IssueScheduler::new(64, 0);
+        let mut stores = StoreIndex::new();
+        let (r1, r2) = (ArchReg::int(1), ArchReg::int(2));
+        for (seq, stat) in [
+            (3, StaticInst::store(r1, r2)),
+            (4, StaticInst::load(r1, r2)),
+            (5, StaticInst::alu(r1, r2, None)),
+            (6, StaticInst::load(r1, r2)),
+            (7, StaticInst::load(r1, r2)),
+        ] {
+            let mut e = entry(seq);
+            e.d.stat = stat;
+            e.state = EntryState::Waiting;
+            e.in_iw = true;
+            t.insert(e);
+            sched.on_dispatch(&mut t, seq, &prf);
+            if stat.op() == OpClass::Store {
+                stores.on_dispatch_store(seq);
+            }
+        }
+        sched.release_due(&t, &stores, 0);
+        let ready = |s: &IssueScheduler| -> Vec<u64> {
+            (0..s.ready_len()).map(|i| s.ready_seq(i)).collect()
+        };
+        assert_eq!(ready(&sched), vec![3, 5], "loads behind store 3 are parked");
+        assert_eq!(sched.parked(), &[4, 6, 7]);
+        sched.squash_after(6);
+        assert_eq!(sched.parked(), &[4, 6], "squash truncates the parked list");
+        sched.issue_store(&mut stores, 3, 0x40);
+        assert_eq!(
+            ready(&sched),
+            vec![3, 4, 5, 6],
+            "merged back in program order"
+        );
+        assert!(sched.parked().is_empty());
     }
 
     #[test]

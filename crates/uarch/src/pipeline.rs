@@ -316,7 +316,10 @@ impl<I: Iterator<Item = DynInst>> BaselineSim<I> {
             };
             // A load behind an older unresolved store wakes through that
             // store's own events (it is dispatched, woken or completing).
-            if e.d.stat.op() == OpClass::Load && self.stores.blocks_load(seq) {
+            // The scheduler parks such loads off the ready list.
+            let blocked = e.d.stat.op() == OpClass::Load && self.stores.blocks_load(seq);
+            debug_assert!(!blocked, "store-blocked load {seq} on the ready list");
+            if blocked {
                 continue;
             }
             let arrive = self.be_cycle_time_ps(e.ready_cycle.saturating_add(wakeup_extra));
@@ -730,16 +733,20 @@ impl<I: Iterator<Item = DynInst>> BaselineSim<I> {
         let wakeup_extra = if self.cfg.pipelined_wakeup { 1 } else { 0 };
         let mut issued_count = 0;
         self.issued_scratch.clear();
-        self.sched.release_due(&self.inflight, cycle);
+        self.sched.release_due(&self.inflight, &self.stores, cycle);
 
         // Scan only woken entries whose operands have arrived (all sources
         // produced and their values due), in program order — the same order the
-        // original kernel walked the whole Issue Window in.
-        for i in 0..self.sched.ready_len() {
+        // original kernel walked the whole Issue Window in. A store issued
+        // mid-scan returns the loads it blocked to the list behind the scan
+        // position, so the length is re-read on every step.
+        let mut i = 0;
+        while i < self.sched.ready_len() {
             if issued_count >= self.cfg.issue_width {
                 break;
             }
             let seq = self.sched.ready_seq(i);
+            i += 1;
             let (op, srcs_len, visible_at, ready_cycle, mem_addr) = {
                 let e = &self.inflight[seq];
                 (
@@ -759,7 +766,9 @@ impl<I: Iterator<Item = DynInst>> BaselineSim<I> {
             if !self.fus.can_issue(op) {
                 continue;
             }
-            if op == OpClass::Load && self.stores.blocks_load(seq) {
+            let blocked = op == OpClass::Load && self.stores.blocks_load(seq);
+            debug_assert!(!blocked, "store-blocked load {seq} on the ready list");
+            if blocked {
                 continue;
             }
             // Issue it.
@@ -785,7 +794,7 @@ impl<I: Iterator<Item = DynInst>> BaselineSim<I> {
                 self.energy.record(Unit::Lsq, 1);
                 if op == OpClass::Store {
                     let addr = mem_addr.expect("stores carry an address");
-                    self.stores.on_store_issue(seq, addr & !63);
+                    self.sched.issue_store(&mut self.stores, seq, addr & !63);
                 }
             }
             self.issued_scratch.push(seq);

@@ -185,7 +185,13 @@ impl Renamer {
     /// Renames `inst`. Returns `None` (and changes nothing) if a destination register
     /// is needed but the free list is empty.
     pub fn rename(&mut self, inst: &StaticInst, prf: &mut PhysRegFile) -> Option<RenameOutcome> {
-        let srcs: SrcList = inst.srcs().map(|s| self.map[s.flat_index()]).collect();
+        let mut srcs = SrcList::default();
+        if let Some(s) = inst.src1() {
+            srcs.push(self.map[s.flat_index()]);
+        }
+        if let Some(s) = inst.src2() {
+            srcs.push(self.map[s.flat_index()]);
+        }
         let (dst, prev, dst_arch) = if let Some(d) = inst.dst() {
             let phys = self.free.pop()?;
             let prev = self.map[d.flat_index()];
