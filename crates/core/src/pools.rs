@@ -2,7 +2,7 @@
 
 use crate::config::PoolConfig;
 use flywheel_isa::{ArchReg, StaticInst, NUM_ARCH_REGS};
-use flywheel_uarch::{PhysReg, PhysRegFile, RenameOutcome, SrcList};
+use flywheel_uarch::{PhysReg, PhysRegFile, Rename, RenameOutcome, SrcList};
 
 /// Statistics of the pool renamer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -110,14 +110,16 @@ impl PoolRenamer {
         let idx = reg.flat_index();
         self.inflight[idx] + 1 < self.pool_size[idx]
     }
+}
 
+impl Rename for PoolRenamer {
     /// Renames `inst`, allocating the next pool entry for its destination.
     ///
     /// Returns `None` (leaving all state unchanged) when the destination pool has no
     /// free entry — i.e. when the number of in-flight writes to that architected
     /// register equals its pool size minus one (one entry always holds the last
     /// committed value).
-    pub fn rename(&mut self, inst: &StaticInst, prf: &mut PhysRegFile) -> Option<RenameOutcome> {
+    fn rename(&mut self, inst: &StaticInst, prf: &mut PhysRegFile) -> Option<RenameOutcome> {
         let mut srcs = SrcList::default();
         if let Some(s) = inst.src1() {
             srcs.push(self.mapping[s.flat_index()]);
@@ -155,7 +157,7 @@ impl PoolRenamer {
     }
 
     /// Releases the pool entry when the instruction retires.
-    pub fn commit(&mut self, outcome: &RenameOutcome) {
+    fn commit(&mut self, outcome: &RenameOutcome) {
         if let Some(arch) = outcome.dst_arch {
             let idx = arch.flat_index();
             debug_assert!(self.inflight[idx] > 0);
@@ -164,7 +166,7 @@ impl PoolRenamer {
     }
 
     /// Undoes a rename during mispredict recovery (youngest first).
-    pub fn squash(&mut self, outcome: &RenameOutcome) {
+    fn squash(&mut self, outcome: &RenameOutcome) {
         if let (Some(arch), Some(prev)) = (outcome.dst_arch, outcome.prev) {
             let idx = arch.flat_index();
             debug_assert!(self.inflight[idx] > 0);
@@ -175,6 +177,14 @@ impl PoolRenamer {
         }
     }
 
+    /// Always `false`: a failed pool rename counts a pool stall, so every
+    /// attempt is machine activity the idle bound must not skip.
+    fn blocks(&self, _inst: &StaticInst) -> bool {
+        false
+    }
+}
+
+impl PoolRenamer {
     /// Checks the redistribution counters. Returns `true` when a redistribution was
     /// performed; the caller must charge `redistribution_cost` cycles and invalidate
     /// the Execution Cache.

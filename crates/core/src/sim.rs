@@ -4,25 +4,22 @@ use crate::config::{DvfsConfig, DvfsPolicy, FlywheelConfig};
 use crate::ec::{ExecutionCache, Trace, TraceBuilder};
 use crate::pools::PoolRenamer;
 use crate::stats::{FlywheelResult, FlywheelStats};
-use flywheel_isa::{DynInst, OpClass, Pc};
-use flywheel_power::{EnergyAccumulator, MachineKind, PowerModel, Unit};
-use flywheel_uarch::{
-    AccessOutcome, BpredStats, CompletionQueue, EntryState, GsharePredictor, HierarchyStats,
-    InflightEntry, InflightTable, IssueScheduler, MemoryHierarchy, PhysRegFile, SimBudget,
-    SimResult, StoreIndex,
-};
-use std::collections::VecDeque;
+use flywheel_isa::{DynInst, Pc, StaticInst};
+use flywheel_power::{MachineKind, Unit};
+use flywheel_uarch::kernel::{fu_energy_unit, Kernel, Machine};
+use flywheel_uarch::telemetry::TelemetryRecorder;
+use flywheel_uarch::{InflightEntry, Rename, SimBudget};
 use std::rc::Rc;
 
 /// Operating mode of the machine (paper §3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug)]
 enum Mode {
     /// Instructions flow through the normal front end; issued groups are recorded
     /// into the Execution Cache.
     Creation,
-    /// The front end is clock gated; instructions are replayed from the Execution
-    /// Cache and fed directly to the execution core at the fast back-end clock.
-    Execution,
+    /// The front end is clock gated; the trace being replayed from the
+    /// Execution Cache feeds the execution core at the fast back-end clock.
+    Execution(Replay),
 }
 
 /// State of the DVFS governor (the DVFS-managed Flywheel machine).
@@ -41,7 +38,7 @@ struct DvfsState {
 }
 
 /// State of an in-progress trace replay.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Replay {
     /// The trace being replayed, shared with the Execution Cache.
     trace: Rc<Trace>,
@@ -57,6 +54,30 @@ struct Replay {
     consumed: u64,
 }
 
+impl Replay {
+    fn new(trace: Rc<Trace>, ready_at_cycle: u64) -> Self {
+        Replay {
+            trace,
+            pulled: Vec::new(),
+            diverged: false,
+            next_idx: 0,
+            ready_at_cycle,
+            consumed: 0,
+        }
+    }
+
+    /// End (exclusive) of the recorded issue unit that starts at `next_idx`.
+    fn unit_end(&self) -> usize {
+        let insts = &self.trace.insts;
+        let unit = insts[self.next_idx].unit;
+        let mut end = self.next_idx;
+        while end < insts.len() && insts[end].unit == unit {
+            end += 1;
+        }
+        end
+    }
+}
+
 /// The Flywheel machine: the paper's proposed microarchitecture, combining the
 /// Dual-Clock Issue Window, the two-phase pool-based register renaming and the
 /// Execution Cache with pre-scheduled execution.
@@ -65,10 +86,10 @@ struct Replay {
 /// "Register Allocation" machine of Figure 11 (dual-clock front end and new renaming,
 /// no alternative execution path).
 ///
-/// Like the baseline machine, the per-cycle hot loop is allocation-free: in-flight
-/// bookkeeping lives in the shared slab-indexed
-/// [`InflightTable`]/[`IssueScheduler`]/[`StoreIndex`] structures of
-/// `flywheel-uarch`.
+/// It runs on the same allocation-free kernel skeleton as the baseline
+/// machine ([`flywheel_uarch::kernel`]), adding trace replay, the Register
+/// Update checkpoint, pool redistribution and the optional DVFS governor
+/// through the skeleton's hooks.
 ///
 /// ```
 /// use flywheel_core::{FlywheelConfig, FlywheelSim};
@@ -86,61 +107,29 @@ struct Replay {
 /// assert_eq!(result.sim.instructions, 5_000);
 /// ```
 pub struct FlywheelSim<I: Iterator<Item = DynInst>> {
-    cfg: FlywheelConfig,
-    trace: I,
-    peeked: Option<DynInst>,
-    /// Instructions fetched in creation mode but handed back when the machine
-    /// switched to the Execution Cache path before dispatching them.
-    pushback: VecDeque<DynInst>,
-    trace_done: bool,
+    kernel: Kernel<PoolRenamer, I>,
+    fly: Flywheel,
+}
 
-    // Shared structures.
-    hierarchy: MemoryHierarchy,
-    bpred: GsharePredictor,
-    pools: PoolRenamer,
-    prf: PhysRegFile,
-    fus: flywheel_uarch::FunctionalUnits,
+/// What the Flywheel machine adds to the kernel skeleton.
+struct Flywheel {
+    cfg: FlywheelConfig,
     ec: ExecutionCache,
 
-    // In-flight bookkeeping (both modes share the ROB/LSQ and execution pipeline).
-    inflight: InflightTable,
-    frontend_q: VecDeque<u64>,
-    rob: VecDeque<u64>,
-    iw_len: usize,
-    lsq: VecDeque<u64>,
-    /// Executing instructions keyed by completion cycle; stale (squashed)
-    /// entries are validated out on pop.
-    completions: CompletionQueue,
-    sched: IssueScheduler,
-    stores: StoreIndex,
-
-    // Persistent scratch buffers (reused every cycle; never allocated in the loop).
-    finished_scratch: Vec<(u64, u64)>,
-    issued_scratch: Vec<u64>,
-
-    // Creation-mode fetch state.
-    fetch_blocked_on_branch: Option<u64>,
-    fetch_resume_at_ps: u64,
+    // Trace creation.
     builder: Option<TraceBuilder>,
     builder_start_seq: u64,
     builder_dispatched: u32,
 
     // Mode control.
     mode: Mode,
-    replay: Option<Replay>,
     /// Register Update is blocked until this instruction retires (FRT checkpoint).
     checkpoint_wait_retire_of: Option<u64>,
     /// Back-end cycle from which Register Update may proceed.
     checkpoint_ready_cycle: u64,
 
-    // Clocks.
-    fe_period_ps: u64,
-    be_period_creation_ps: u64,
+    /// Back-end period in trace-execution mode.
     be_period_exec_ps: u64,
-    fe_time_ps: u64,
-    be_time_ps: u64,
-    fe_cycles: u64,
-    be_cycles: u64,
     exec_mode_ps: u64,
     creation_mode_ps: u64,
 
@@ -153,36 +142,21 @@ pub struct FlywheelSim<I: Iterator<Item = DynInst>> {
     /// fixed for the run — bit-identical to the plain Flywheel machine.
     dvfs: Option<DvfsState>,
 
-    // Energy.
-    power_model: PowerModel,
-    energy: EnergyAccumulator,
-
     // Counters.
-    retired: u64,
-    retire_limit: u64,
-    squashed: u64,
     trace_switches: u64,
     trace_divergences: u64,
-    last_progress_cycle: u64,
-    /// Whether the edge being processed changed any machine state (gates the
-    /// idle fast-forward in the run loop).
-    tick_activity: bool,
+    /// Mode and pool-stall count last reported to telemetry.
+    tel_executing: bool,
+    tel_pool_stalls: u64,
     measure_start: Option<Snapshot>,
 }
 
 #[derive(Debug, Clone)]
 struct Snapshot {
-    retired: u64,
-    squashed: u64,
-    be_cycles: u64,
-    fe_cycles: u64,
-    time_ps: u64,
     exec_mode_ps: u64,
     creation_mode_ps: u64,
     trace_switches: u64,
     trace_divergences: u64,
-    bpred: BpredStats,
-    caches: HierarchyStats,
     ec: crate::ec::EcStats,
     pools: crate::pools::PoolStats,
 }
@@ -196,71 +170,35 @@ impl<I: Iterator<Item = DynInst>> FlywheelSim<I> {
     pub fn new(cfg: FlywheelConfig, trace: I) -> Self {
         cfg.validate()
             .unwrap_or_else(|e| panic!("invalid configuration: {e}"));
-        let base = &cfg.base;
-        let power_model = PowerModel::new(cfg.power_config());
-        let fe_period_ps = base.clocks.frontend_period_ps;
-        let be_period_creation_ps = base.clocks.baseline_period_ps;
-        let be_period_exec_ps = base.clocks.backend_period_ps;
-        let inflight_capacity = (base.rob_entries
-            + base.front_end_stages * base.fetch_width
-            + base.fetch_width) as usize;
-        FlywheelSim {
-            hierarchy: MemoryHierarchy::new(base),
-            bpred: GsharePredictor::new(base.bpred),
-            pools: PoolRenamer::new(cfg.pools),
-            prf: PhysRegFile::new(cfg.pools.total_phys_regs),
-            fus: flywheel_uarch::FunctionalUnits::new(base.fus),
+        let kernel = Kernel::new(
+            cfg.base.clone(),
+            PoolRenamer::new(cfg.pools),
+            cfg.power_config(),
+            MachineKind::Flywheel,
+            trace,
+        );
+        let fly = Flywheel {
             ec: ExecutionCache::new(cfg.ec),
-            inflight: InflightTable::with_capacity(inflight_capacity),
-            frontend_q: VecDeque::new(),
-            rob: VecDeque::new(),
-            iw_len: 0,
-            lsq: VecDeque::new(),
-            completions: CompletionQueue::new(),
-            sched: IssueScheduler::new(
-                cfg.pools.total_phys_regs as usize,
-                if cfg.base.pipelined_wakeup { 1 } else { 0 },
-            ),
-            stores: StoreIndex::new(),
-            finished_scratch: Vec::new(),
-            issued_scratch: Vec::new(),
-            fetch_blocked_on_branch: None,
-            fetch_resume_at_ps: 0,
             builder: None,
             builder_start_seq: 0,
             builder_dispatched: 0,
             mode: Mode::Creation,
-            replay: None,
             checkpoint_wait_retire_of: None,
             checkpoint_ready_cycle: 0,
-            fe_period_ps,
-            be_period_creation_ps,
-            be_period_exec_ps,
-            fe_time_ps: fe_period_ps,
-            be_time_ps: be_period_creation_ps,
-            fe_cycles: 0,
-            be_cycles: 0,
+            be_period_exec_ps: cfg.base.clocks.backend_period_ps,
             exec_mode_ps: 0,
             creation_mode_ps: 0,
             next_redistribution_cycle: cfg.pools.redistribution_interval,
             stalled_until_cycle: 0,
             dvfs: None,
-            power_model,
-            energy: EnergyAccumulator::new(MachineKind::Flywheel),
-            retired: 0,
-            retire_limit: u64::MAX,
-            squashed: 0,
             trace_switches: 0,
             trace_divergences: 0,
-            last_progress_cycle: 0,
-            tick_activity: false,
+            tel_executing: false,
+            tel_pool_stalls: 0,
             measure_start: None,
-            peeked: None,
-            pushback: VecDeque::new(),
-            trace_done: false,
-            trace,
             cfg,
-        }
+        };
+        FlywheelSim { kernel, fly }
     }
 
     /// Creates a DVFS-governed Flywheel machine for `cfg` consuming
@@ -278,7 +216,7 @@ impl<I: Iterator<Item = DynInst>> FlywheelSim<I> {
         let policy = cfg.policy;
         let current_pct = cfg.fly.backend_speedup_pct;
         let mut sim = FlywheelSim::new(cfg.fly, trace);
-        sim.dvfs = Some(DvfsState {
+        sim.fly.dvfs = Some(DvfsState {
             policy,
             next_eval_cycle: policy.interval_be_cycles,
             last_exec_mode_ps: 0,
@@ -291,617 +229,141 @@ impl<I: Iterator<Item = DynInst>> FlywheelSim<I> {
 
     /// The configuration of this machine.
     pub fn config(&self) -> &FlywheelConfig {
-        &self.cfg
+        &self.fly.cfg
     }
 
     /// Number of clock retunes the DVFS governor has performed (0 without a
     /// governor).
     pub fn dvfs_retunes(&self) -> u64 {
-        self.dvfs.as_ref().map_or(0, |d| d.retunes)
+        self.fly.dvfs.as_ref().map_or(0, |d| d.retunes)
     }
 
     /// Runs the simulation for the given budget.
     pub fn run(&mut self, budget: SimBudget) -> FlywheelResult {
-        let warm_target = budget.warmup_instructions;
-        let total_target = budget.total();
-        self.retire_limit = warm_target.max(1);
-        let mut watchdog = flywheel_uarch::watchdog::armed();
-        let mut telemetry = flywheel_uarch::telemetry::armed();
-        let mut tel_executing = self.mode == Mode::Execution;
-        let mut tel_pool_stalls = self.pools.stats().pool_stalls;
-        while self.retired < total_target && !(self.trace_done && self.inflight.is_empty()) {
-            if self.measure_start.is_none() && self.retired >= warm_target {
-                self.begin_measurement();
-                self.retire_limit = total_target;
-            }
-            self.tick_activity = false;
-            if self.be_time_ps <= self.fe_time_ps {
-                self.tick_backend();
-            } else {
-                self.tick_frontend();
-            }
-            if !self.tick_activity {
-                self.fast_forward();
-            }
-            if self.be_cycles - self.last_progress_cycle > 500_000 {
-                panic!(
-                    "no retirement progress for 500k cycles (mode {:?}, retired {}, rob {}, \
-                     iw {}, frontend {}, replay {})",
-                    self.mode,
-                    self.retired,
-                    self.rob.len(),
-                    self.iw_len,
-                    self.frontend_q.len(),
-                    self.replay.is_some(),
-                );
-            }
-            if let Some(wd) = watchdog.as_mut() {
-                wd.poll(self.be_cycles);
-            }
-            if let Some(t) = telemetry.as_mut() {
-                let executing = self.mode == Mode::Execution;
-                if executing != tel_executing {
-                    tel_executing = executing;
-                    t.mode_edge(executing, self.be_cycles, self.fe_cycles);
-                }
-                let stalls = self.pools.stats().pool_stalls;
-                if stalls != tel_pool_stalls {
-                    t.pool_stalls(self.be_cycles, stalls - tel_pool_stalls);
-                    tel_pool_stalls = stalls;
-                }
-                t.sample_occupancy(
-                    self.be_cycles,
-                    self.iw_len,
-                    self.rob.len(),
-                    self.frontend_q.len(),
-                    self.lsq.len(),
-                );
-            }
-        }
-        if let Some(t) = telemetry.as_mut() {
-            t.finish(self.be_cycles, self.fe_cycles);
-        }
-        if self.measure_start.is_none() {
-            self.begin_measurement();
-        }
-        self.finish()
-    }
-
-    fn be_period(&self) -> u64 {
-        match self.mode {
-            Mode::Creation => self.be_period_creation_ps,
-            Mode::Execution => self.be_period_exec_ps,
-        }
-    }
-
-    /// The back-end edge time at which cycle `c` executes (the edge at
-    /// `be_time_ps` runs cycle `be_cycles + 1`). The mode — and with it the
-    /// back-end period — is constant across the idle stretch being bounded: any
-    /// mode switch is tick activity.
-    fn be_cycle_time_ps(&self, c: u64) -> u64 {
-        if c <= self.be_cycles + 1 {
-            self.be_time_ps
-        } else {
-            self.be_time_ps
-                .saturating_add((c - self.be_cycles - 1).saturating_mul(self.be_period()))
-        }
-    }
-
-    /// The first back-end edge at or after time `ps`.
-    fn be_edge_at_or_after(&self, ps: u64) -> u64 {
-        if ps <= self.be_time_ps {
-            self.be_time_ps
-        } else {
-            self.be_time_ps + (ps - self.be_time_ps).div_ceil(self.be_period()) * self.be_period()
-        }
-    }
-
-    /// The first front-end edge at or after time `ps`.
-    fn fe_edge_at_or_after(&self, ps: u64) -> u64 {
-        if ps <= self.fe_time_ps {
-            self.fe_time_ps
-        } else {
-            self.fe_time_ps + (ps - self.fe_time_ps).div_ceil(self.fe_period_ps) * self.fe_period_ps
-        }
-    }
-
-    /// A conservative lower bound on the next time any machine state can
-    /// change, or `None` when no event is safely boundable (then the machine
-    /// single-steps as before). See `BaselineSim::next_event_ps` for the
-    /// reasoning; the Flywheel machine adds the mode-specific gates (Register
-    /// Update checkpoint, redistribution stalls, trace-replay startup and
-    /// operand arrival).
-    fn next_event_ps(&self) -> Option<u64> {
-        // A completed ROB head retires at the next back-end edge — or is gated
-        // only by the retire limit, which the run loop may lift between steps.
-        if let Some(&head) = self.rob.front() {
-            if self.inflight[head].state == EntryState::Completed {
-                return None;
-            }
-        }
-        let mut t = u64::MAX;
-        if let Some(c) = self.completions.next_due() {
-            t = t.min(self.be_cycle_time_ps(c));
-        }
-        if let Some(c) = self.sched.next_due() {
-            t = t.min(self.be_cycle_time_ps(c));
-        }
-        let wakeup_extra = if self.cfg.base.pipelined_wakeup { 1 } else { 0 };
-        for i in 0..self.sched.ready_len() {
-            let seq = self.sched.ready_seq(i);
-            let Some(e) = self.inflight.get(seq) else {
-                continue;
-            };
-            // A load behind an older unresolved store wakes through that
-            // store's own events (it is dispatched, woken or completing).
-            // The scheduler parks such loads off the ready list.
-            let blocked = e.d.stat.op() == OpClass::Load && self.stores.blocks_load(seq);
-            debug_assert!(!blocked, "store-blocked load {seq} on the ready list");
-            if blocked {
-                continue;
-            }
-            let arrive = self.be_cycle_time_ps(e.ready_cycle.saturating_add(wakeup_extra));
-            t = t.min(arrive.max(self.be_edge_at_or_after(e.visible_at_ps)));
-        }
-        // Cycle-numbered gates that open in the future (past thresholds are
-        // permanently inert).
-        for c in [self.stalled_until_cycle, self.checkpoint_ready_cycle] {
-            if c > self.be_cycles {
-                t = t.min(self.be_cycle_time_ps(c));
-            }
-        }
-        // The DVFS governor may change the back-end period at its next
-        // evaluation: never bulk-advance past it (this keeps the back-end
-        // period constant across every bounded idle stretch).
-        if let Some(d) = &self.dvfs {
-            t = t.min(self.be_cycle_time_ps(d.next_eval_cycle));
-        }
-        match self.mode {
-            Mode::Creation => {
-                // Pool redistribution is considered whenever the ROB drains.
-                if self.rob.is_empty() {
-                    t = t.min(self.be_cycle_time_ps(self.next_redistribution_cycle));
-                }
-                // Dispatch of the front-end queue head, when Register Update is
-                // currently allowed (it can only open — never close — without
-                // tick activity, and its opening edges are included above).
-                let gate_open = self.checkpoint_wait_retire_of.is_none()
-                    && self.be_cycles >= self.checkpoint_ready_cycle
-                    && self.be_cycles >= self.stalled_until_cycle;
-                if gate_open {
-                    if let Some(&head) = self.frontend_q.front() {
-                        let e = &self.inflight[head];
-                        if e.dispatch_ready_ps > self.fe_time_ps {
-                            t = t.min(self.fe_edge_at_or_after(e.dispatch_ready_ps));
-                        } else {
-                            let is_mem = e.d.stat.op().is_mem();
-                            let blocked = self.rob.len() >= self.cfg.base.rob_entries as usize
-                                || self.iw_len >= self.cfg.base.iw_entries as usize
-                                || (is_mem && self.lsq.len() >= self.cfg.base.lsq_entries as usize);
-                            if !blocked {
-                                t = t.min(self.fe_time_ps);
-                            }
-                        }
-                    }
-                }
-                // Fetch resuming (not checkpoint-gated).
-                let queue_cap =
-                    (self.cfg.base.front_end_stages * self.cfg.base.fetch_width) as usize;
-                if self.fetch_blocked_on_branch.is_none()
-                    && !self.trace_done
-                    && self.frontend_q.len() < queue_cap
-                {
-                    t = t.min(self.fe_edge_at_or_after(self.fetch_resume_at_ps));
-                }
-            }
-            Mode::Execution => {
-                let Some(r) = &self.replay else {
-                    // The next back-end tick falls back to creation mode.
-                    return None;
-                };
-                if !r.diverged && r.pulled.len() < r.trace.len() && !self.trace_done {
-                    // The next back-end tick pulls (and trains on) oracle
-                    // instructions.
-                    t = t.min(self.be_time_ps);
-                } else if r.next_idx < r.pulled.len() {
-                    // The machine is waiting to issue the next replay unit.
-                    if self.rob.is_empty() && self.iw_len == 0 {
-                        // The abandon-replay safety valve may fire next tick.
-                        return None;
-                    }
-                    let unit = r.trace.insts[r.next_idx].unit;
-                    let mut unit_end = r.next_idx;
-                    while unit_end < r.trace.len() && r.trace.insts[unit_end].unit == unit {
-                        unit_end += 1;
-                    }
-                    // Replay issues one unit per cycle: the next unit goes out
-                    // at the first edge where the startup buffer, the Register
-                    // Update checkpoint and all its source operands are due
-                    // (capacity and pool blocks only delay it further, which a
-                    // conservative bound may ignore). A checkpoint waiting on a
-                    // retire is bounded by the completion events instead.
-                    let issuable = unit_end.min(r.pulled.len()) == unit_end || r.diverged;
-                    if issuable && self.checkpoint_wait_retire_of.is_none() {
-                        let mut unit_time = self.be_time_ps;
-                        for c in [r.ready_at_cycle, self.checkpoint_ready_cycle] {
-                            if c > self.be_cycles {
-                                unit_time = unit_time.max(self.be_cycle_time_ps(c));
-                            }
-                        }
-                        let end = unit_end.min(r.pulled.len());
-                        for i in r.next_idx..end {
-                            for src in r.trace.insts[i].stat.srcs() {
-                                let at = self.prf.ready_at(self.pools.mapping(src));
-                                if at == u64::MAX {
-                                    return None;
-                                }
-                                if at > self.be_cycles {
-                                    unit_time = unit_time.max(self.be_cycle_time_ps(at));
-                                }
-                            }
-                        }
-                        t = t.min(unit_time);
-                    }
-                }
-                // A fully drained replay transitions out with tick activity, so
-                // no further events are needed here.
-            }
-        }
-        // Never jump past the no-progress watchdog's firing point.
-        t = t.min(self.be_cycle_time_ps(self.last_progress_cycle + 500_001));
-        (t != u64::MAX).then_some(t)
-    }
-
-    /// Bulk-advances both clock domains over the edges strictly before the next
-    /// possible event, charging exactly the per-cycle bookkeeping those idle
-    /// edges would have performed (clock energy, gated-front-end accounting,
-    /// per-mode time, and the Issue Window wake-up/select energy of occupied
-    /// windows).
-    fn fast_forward(&mut self) {
-        let Some(t) = self.next_event_ps() else {
-            return;
-        };
-        if self.fe_time_ps < t {
-            let k = (t - 1 - self.fe_time_ps) / self.fe_period_ps + 1;
-            self.fe_cycles += k;
-            self.fe_time_ps += k * self.fe_period_ps;
-            self.energy.tick_frontend_n(self.mode == Mode::Execution, k);
-        }
-        if self.be_time_ps < t {
-            let period = self.be_period();
-            let k = (t - 1 - self.be_time_ps) / period + 1;
-            self.be_cycles += k;
-            self.be_time_ps += k * period;
-            match self.mode {
-                Mode::Creation => self.creation_mode_ps += k * period,
-                Mode::Execution => self.exec_mode_ps += k * period,
-            }
-            self.energy.tick_backend_n(k);
-            // The skipped cycles lie entirely on one side of the stall window
-            // (its end is an event above); only unstalled cycles pay the
-            // per-cycle Issue Window energy of an occupied window.
-            if self.iw_len > 0 && self.be_cycles >= self.stalled_until_cycle {
-                self.energy.record(Unit::IssueWindowWakeup, k);
-                self.energy.record(Unit::IssueWindowSelect, k);
-            }
-        }
-    }
-
-    fn now_ps(&self) -> u64 {
-        (self.be_time_ps.saturating_sub(self.be_period()))
-            .max(self.fe_time_ps.saturating_sub(self.fe_period_ps))
-    }
-
-    fn begin_measurement(&mut self) {
-        self.energy = EnergyAccumulator::new(MachineKind::Flywheel);
-        // Traces recorded during warm-up were built while the branch predictor and
-        // the caches were still cold, so their schedules are unrepresentative.
-        // Mirroring the paper's fast-forward discipline, measurement starts with warm
-        // predictor/cache state but lets the Execution Cache refill with traces built
-        // under that warm behaviour. A replay that is already in progress keeps its
-        // (shared) trace and simply runs to its end.
-        self.ec.invalidate_all();
-        self.builder = None;
-        self.builder_dispatched = 0;
-        self.measure_start = Some(Snapshot {
-            retired: self.retired,
-            squashed: self.squashed,
-            be_cycles: self.be_cycles,
-            fe_cycles: self.fe_cycles,
-            time_ps: self.now_ps(),
-            exec_mode_ps: self.exec_mode_ps,
-            creation_mode_ps: self.creation_mode_ps,
-            trace_switches: self.trace_switches,
-            trace_divergences: self.trace_divergences,
-            bpred: self.bpred.stats(),
-            caches: self.hierarchy.stats(),
-            ec: self.ec.stats(),
-            pools: self.pools.stats(),
-        });
-    }
-
-    fn finish(&mut self) -> FlywheelResult {
-        let start = self.measure_start.clone().expect("measurement started");
-        let elapsed_ps = self.now_ps().saturating_sub(start.time_ps).max(1);
-        let bp = self.bpred.stats();
-        let ch = self.hierarchy.stats();
-        let exec_ps = self.exec_mode_ps - start.exec_mode_ps;
-        let creation_ps = self.creation_mode_ps - start.creation_mode_ps;
-        let residency = if exec_ps + creation_ps == 0 {
-            0.0
-        } else {
-            exec_ps as f64 / (exec_ps + creation_ps) as f64
-        };
-        let ec_now = self.ec.stats();
-        let pool_now = self.pools.stats();
-        let energy = self.energy.finish(&self.power_model, elapsed_ps);
-        let sim = SimResult {
-            instructions: self.retired - start.retired,
-            be_cycles: self.be_cycles - start.be_cycles,
-            fe_cycles: self.fe_cycles - start.fe_cycles,
-            elapsed_ps,
-            squashed: self.squashed - start.squashed,
-            bpred: BpredStats {
-                cond_predictions: bp.cond_predictions - start.bpred.cond_predictions,
-                cond_mispredicts: bp.cond_mispredicts - start.bpred.cond_mispredicts,
-                target_mispredicts: bp.target_mispredicts - start.bpred.target_mispredicts,
-                total_ctrl: bp.total_ctrl - start.bpred.total_ctrl,
-            },
-            caches: HierarchyStats {
-                l1i: (ch.l1i.0 - start.caches.l1i.0, ch.l1i.1 - start.caches.l1i.1),
-                l1d: (ch.l1d.0 - start.caches.l1d.0, ch.l1d.1 - start.caches.l1d.1),
-                l2: (ch.l2.0 - start.caches.l2.0, ch.l2.1 - start.caches.l2.1),
-            },
-            energy,
-            gated_frontend_fraction: residency,
-        };
-        let flywheel = FlywheelStats {
-            exec_mode_ps: exec_ps,
-            creation_mode_ps: creation_ps,
-            ec_residency: residency,
-            ec_lookups: ec_now.lookups - start.ec.lookups,
-            ec_hits: ec_now.hits - start.ec.hits,
-            traces_stored: ec_now.traces_stored - start.ec.traces_stored,
-            ec_utilization: self.ec.utilization(),
-            trace_switches: self.trace_switches - start.trace_switches,
-            trace_divergences: self.trace_divergences - start.trace_divergences,
-            pool_stalls: pool_now.pool_stalls - start.pools.pool_stalls,
-            redistributions: pool_now.redistributions - start.pools.redistributions,
-        };
+        let mut sim = self.kernel.run(&mut self.fly, budget);
+        let flywheel = self.fly.stats(&self.kernel);
+        sim.gated_frontend_fraction = flywheel.ec_residency;
         FlywheelResult { sim, flywheel }
     }
+}
 
-    // ------------------------------------------------------------------ oracle
+/// The kernel skeleton as the Flywheel machine instantiates it.
+type FlyKernel<I> = Kernel<PoolRenamer, I>;
 
-    fn next_trace_inst(&mut self) -> Option<DynInst> {
-        if let Some(d) = self.pushback.pop_front() {
-            return Some(d);
+// The hooks the kernel calls every edge or every instruction are
+// `#[inline]` so they inline into the kernel's loops, which are compiled
+// with another module; on a 2-vCPU host the hint measured 2–5% faster
+// Flywheel, regalloc and dvfs runs.
+impl<I: Iterator<Item = DynInst>> Machine<PoolRenamer, I> for Flywheel {
+    #[inline]
+    fn frontend_gated(&self) -> bool {
+        self.executing()
+    }
+
+    #[inline]
+    fn dispatch_allowed(&self, k: &FlyKernel<I>) -> bool {
+        k.be_cycles >= self.stalled_until_cycle && self.register_update_allowed(k)
+    }
+
+    #[inline]
+    fn issue_allowed(&self, k: &FlyKernel<I>) -> bool {
+        k.be_cycles >= self.stalled_until_cycle
+    }
+
+    #[inline]
+    fn before_rename(&mut self, k: &mut FlyKernel<I>, pc: Pc) -> bool {
+        // Everything past this point changes machine state: the EC lookup
+        // charges tag energy, a failed pool rename counts a stall, and a
+        // successful one dispatches.
+        k.tick_activity = true;
+        // Trace completion condition: if the current trace has grown to its
+        // limit, look the next PC up in the EC before dispatching it — on a hit
+        // the machine switches to the alternative execution path; on a miss the
+        // finished trace is sealed into the EC and a new one starts here.
+        if self.cfg.execution_cache && self.builder_dispatched >= self.cfg.ec.max_trace_insts {
+            if self.try_switch_to_execution(k, pc) {
+                return false;
+            }
+            self.store_current_trace(k);
         }
-        if let Some(d) = self.peeked.take() {
-            return Some(d);
+        true
+    }
+
+    #[inline]
+    fn on_dispatch(&mut self, k: &mut FlyKernel<I>, seq: u64, pc: Pc) {
+        if self.builder.is_none() {
+            self.builder = Some(TraceBuilder::new(pc));
+            self.builder_start_seq = seq;
+            self.builder_dispatched = 0;
         }
-        match self.trace.next() {
-            Some(d) => Some(d),
-            None => {
-                self.trace_done = true;
-                None
+        self.builder_dispatched += 1;
+        k.energy.record(Unit::RegisterUpdate, 1);
+    }
+
+    #[inline]
+    fn on_issue(&mut self, seq: u64, pc: Pc, stat: StaticInst) {
+        // Record the issued instruction into the trace being built.
+        if self.cfg.execution_cache && seq >= self.builder_start_seq {
+            if let Some(builder) = self.builder.as_mut() {
+                builder.record(seq, pc, stat);
             }
         }
     }
 
-    fn peek_trace_inst(&mut self) -> Option<DynInst> {
-        if let Some(d) = self.pushback.front() {
-            return Some(d.clone());
+    #[inline]
+    fn after_issue(&mut self, k: &mut FlyKernel<I>) {
+        if let Some(builder) = self.builder.as_mut() {
+            builder.close_unit();
         }
-        if self.peeked.is_none() {
-            self.peeked = self.trace.next();
-            if self.peeked.is_none() {
-                self.trace_done = true;
-            }
-        }
-        self.peeked.clone()
-    }
-
-    // ------------------------------------------------------------------ front end
-
-    fn tick_frontend(&mut self) {
-        let now = self.fe_time_ps;
-        self.fe_cycles += 1;
-        self.fe_time_ps += self.fe_period_ps;
-        match self.mode {
-            Mode::Execution => {
-                // Front end (including the Issue Window) is clock gated.
-                self.energy.tick_frontend(true);
-            }
-            Mode::Creation => {
-                self.energy.tick_frontend(false);
-                self.dispatch(now);
-                let queue_cap =
-                    (self.cfg.base.front_end_stages * self.cfg.base.fetch_width) as usize;
-                if self.fetch_blocked_on_branch.is_none()
-                    && now >= self.fetch_resume_at_ps
-                    && self.frontend_q.len() < queue_cap
-                    && !self.trace_done
-                {
-                    // A fetch attempt always changes state: it inserts
-                    // instructions, starts a line fill, or exhausts the trace.
-                    self.tick_activity = true;
-                    self.fetch(now);
-                }
-            }
+        if let Mode::Execution(replay) = std::mem::replace(&mut self.mode, Mode::Creation) {
+            self.issue_execution(k, replay);
         }
     }
 
-    fn register_update_allowed(&self) -> bool {
-        self.checkpoint_wait_retire_of.is_none() && self.be_cycles >= self.checkpoint_ready_cycle
-    }
-
-    fn dispatch(&mut self, now: u64) {
-        if self.be_cycles < self.stalled_until_cycle || !self.register_update_allowed() {
+    /// A mispredicted branch resolved in trace-creation mode: finish the trace
+    /// being built, squash, and either restart the front end or switch to the
+    /// Execution Cache path.
+    #[inline]
+    fn on_mispredict(&mut self, k: &mut FlyKernel<I>, branch_seq: u64, now: u64) {
+        if self.executing() {
             return;
         }
-        let sync_ps = self.cfg.base.sync_latency_be_cycles as u64 * self.be_period_creation_ps;
-        let mut dispatched = 0;
-        while dispatched < self.cfg.base.dispatch_width {
-            let Some(&seq) = self.frontend_q.front() else {
-                break;
-            };
-            let (ready, op, stat, pc) = {
-                let e = &self.inflight[seq];
-                (e.dispatch_ready_ps <= now, e.d.stat.op(), e.d.stat, e.d.pc)
-            };
-            let is_mem = op.is_mem();
-            if !ready
-                || self.rob.len() >= self.cfg.base.rob_entries as usize
-                || self.iw_len >= self.cfg.base.iw_entries as usize
-                || (is_mem && self.lsq.len() >= self.cfg.base.lsq_entries as usize)
-            {
-                break;
-            }
-            // Everything past this point changes machine state: the EC lookup
-            // charges tag energy, a failed pool rename counts a stall, and a
-            // successful one dispatches.
-            self.tick_activity = true;
-            // Trace completion condition: if the current trace has grown to its
-            // limit, look the next PC up in the EC before dispatching it — on a hit
-            // the machine switches to the alternative execution path; on a miss the
-            // finished trace is sealed into the EC and a new one starts here.
-            if self.cfg.execution_cache && self.builder_dispatched >= self.cfg.ec.max_trace_insts {
-                if self.try_switch_to_execution(pc) {
-                    return;
-                }
-                self.store_current_trace();
-            }
-            let Some(rename) = self.pools.rename(&stat, &mut self.prf) else {
-                break;
-            };
-            self.frontend_q.pop_front();
-            {
-                let entry = &mut self.inflight[seq];
-                entry.rename = rename;
-                entry.state = EntryState::Waiting;
-                entry.visible_at_ps = now + sync_ps;
-                entry.in_iw = true;
-            }
-            self.rob.push_back(seq);
-            self.iw_len += 1;
-            self.sched.on_dispatch(&mut self.inflight, seq, &self.prf);
-            if is_mem {
-                self.lsq.push_back(seq);
-                if op == OpClass::Store {
-                    self.stores.on_dispatch_store(seq);
-                }
-            }
-            if self.builder.is_none() {
-                self.builder = Some(TraceBuilder::new(pc));
-                self.builder_start_seq = seq;
-                self.builder_dispatched = 0;
-            }
-            self.builder_dispatched += 1;
-            self.energy.record(Unit::Rename, 1);
-            self.energy.record(Unit::RegisterUpdate, 1);
-            self.energy.record(Unit::IssueWindowInsert, 1);
-            self.energy.record(Unit::Rob, 1);
-            dispatched += 1;
-        }
-    }
-
-    fn fetch(&mut self, now: u64) {
-        let Some(first) = self.peek_trace_inst() else {
-            return;
-        };
-        let first_pc = first.pc;
-        self.energy.record(Unit::ICache, 1);
-        self.energy.record(Unit::BranchPredictor, 1);
-        let outcome = self.hierarchy.fetch(first_pc.addr());
-        if outcome != AccessOutcome::L1 {
-            if outcome == AccessOutcome::Memory {
-                self.energy.record(Unit::L2, 1);
-            }
-            self.fetch_resume_at_ps = now + self.hierarchy.extra_latency_ps(outcome);
+        k.resolve_mispredict(branch_seq);
+        // The Rename Table checkpoint (FRT -> RT copy) cannot happen before the
+        // mispredicted instruction retires.
+        self.checkpoint_wait_retire_of = Some(branch_seq);
+        self.store_current_trace(k);
+        // Search the EC for a trace starting at the correct target.
+        let target = k.inflight[branch_seq].d.next_pc;
+        if self.cfg.execution_cache && self.try_switch_to_execution(k, target) {
             return;
         }
-        let fetch_width = self.cfg.base.fetch_width as usize;
-        let group_room = fetch_width - first_pc.fetch_group_offset(fetch_width);
-        let dispatch_delay = self.cfg.base.front_end_stages as u64 * self.fe_period_ps;
-        for _ in 0..group_room {
-            let Some(d) = self.next_trace_inst() else {
-                break;
-            };
-            let seq = d.seq;
-            let correct = self.bpred.predict(&d);
-            let redirects = d.redirects_fetch();
-            self.energy.record(Unit::Decode, 1);
-            self.inflight.insert(InflightEntry::new_frontend(
-                d,
-                now + dispatch_delay,
-                !correct,
-            ));
-            self.frontend_q.push_back(seq);
-            if !correct {
-                self.fetch_blocked_on_branch = Some(seq);
-                break;
-            }
-            if redirects {
-                break;
-            }
+        // Miss: restart the front end at the correct target; a new trace starts
+        // with the next dispatched instruction.
+        k.redirect_fetch(now);
+        self.builder = None;
+    }
+
+    #[inline]
+    fn on_retire(&mut self, k: &mut FlyKernel<I>, seq: u64) {
+        if self.checkpoint_wait_retire_of == Some(seq) {
+            // FRT -> RT copy can proceed on the next cycle.
+            self.checkpoint_wait_retire_of = None;
+            self.checkpoint_ready_cycle = k.be_cycles + 1;
         }
     }
 
-    // ------------------------------------------------------------------ back end
-
-    fn tick_backend(&mut self) {
-        self.maybe_retune_clock();
-        let now = self.be_time_ps;
-        let period = self.be_period();
-        self.be_cycles += 1;
-        self.be_time_ps += period;
-        match self.mode {
-            Mode::Creation => self.creation_mode_ps += period,
-            Mode::Execution => self.exec_mode_ps += period,
-        }
-        self.energy.tick_backend();
-        self.fus.begin_cycle();
-
-        self.complete(now);
-        self.retire();
-        if self.be_cycles >= self.stalled_until_cycle {
-            match self.mode {
-                Mode::Creation => {
-                    self.issue_creation(now);
-                    if self.iw_len > 0 {
-                        self.energy.record(Unit::IssueWindowWakeup, 1);
-                        self.energy.record(Unit::IssueWindowSelect, 1);
-                    }
-                }
-                Mode::Execution => {
-                    // Instructions dispatched before the switch still drain through
-                    // the Issue Window; the front end is only fully gated once it is
-                    // empty.
-                    if self.iw_len > 0 {
-                        self.issue_creation(now);
-                        self.energy.record(Unit::IssueWindowWakeup, 1);
-                        self.energy.record(Unit::IssueWindowSelect, 1);
-                    }
-                    self.issue_execution();
-                }
-            }
-        }
-        self.maybe_redistribute();
-    }
-
-    /// DVFS governor evaluation, run at the top of every back-end tick (before
-    /// the edge advances time, so a retuned period applies from this cycle on).
-    ///
-    /// The fast-forward bound in [`Self::next_event_ps`] never bulk-advances
-    /// the back-end past `next_eval_cycle`, so the period stays constant across
-    /// every bounded idle stretch — the invariant `be_cycle_time_ps` relies on.
-    fn maybe_retune_clock(&mut self) {
+    /// DVFS governor evaluation, before the edge advances time, so a retuned
+    /// period applies from this cycle on. The idle bound never bulk-advances
+    /// past `next_eval_cycle`, so the period stays constant across every
+    /// bounded idle stretch.
+    #[inline]
+    fn begin_backend_edge(&mut self, k: &mut FlyKernel<I>) {
         let Some(d) = &mut self.dvfs else { return };
-        if self.be_cycles < d.next_eval_cycle {
+        if k.be_cycles < d.next_eval_cycle {
             return;
         }
-        d.next_eval_cycle = self.be_cycles + d.policy.interval_be_cycles;
+        d.next_eval_cycle = k.be_cycles + d.policy.interval_be_cycles;
         let exec = self.exec_mode_ps - d.last_exec_mode_ps;
         let creation = self.creation_mode_ps - d.last_creation_mode_ps;
         d.last_exec_mode_ps = self.exec_mode_ps;
@@ -931,146 +393,189 @@ impl<I: Iterator<Item = DynInst>> FlywheelSim<I> {
             self.be_period_exec_ps =
                 flywheel_timing::ClockPlan::with_speedups(self.cfg.base.node, 0, new_pct)
                     .backend_period_ps;
+            if self.executing() {
+                k.be_period_ps = self.be_period_exec_ps;
+            }
             // A clock change is machine activity: never fast-forward over it.
-            self.tick_activity = true;
+            k.tick_activity = true;
         }
     }
 
-    fn maybe_redistribute(&mut self) {
-        if self.be_cycles < self.next_redistribution_cycle
-            || self.mode != Mode::Creation
-            || !self.rob.is_empty()
-        {
+    #[inline]
+    fn backend_edges(&mut self, n: u64, period_ps: u64) {
+        match self.mode {
+            Mode::Creation => self.creation_mode_ps += n * period_ps,
+            Mode::Execution(_) => self.exec_mode_ps += n * period_ps,
+        }
+    }
+
+    /// Pool redistribution, considered whenever the ROB drains in creation
+    /// mode.
+    #[inline]
+    fn end_backend_edge(&mut self, k: &mut FlyKernel<I>) {
+        if k.be_cycles < self.next_redistribution_cycle || self.executing() || !k.rob.is_empty() {
             return;
         }
-        self.next_redistribution_cycle = self.be_cycles + self.cfg.pools.redistribution_interval;
-        if self.pools.maybe_redistribute() {
-            self.tick_activity = true;
-            self.stalled_until_cycle = self.be_cycles + self.cfg.pools.redistribution_cost;
+        self.next_redistribution_cycle = k.be_cycles + self.cfg.pools.redistribution_interval;
+        if k.renamer.maybe_redistribute() {
+            k.tick_activity = true;
+            self.stalled_until_cycle = k.be_cycles + self.cfg.pools.redistribution_cost;
             self.ec.invalidate_all();
             // Renaming information stored in the current trace is obsolete too.
             self.builder = None;
         }
     }
 
-    fn complete(&mut self, now: u64) {
-        let cycle = self.be_cycles;
-        // Drain the due prefix of the completion queue; the per-cycle cost when
-        // nothing finishes (the common case during a memory stall) is one peek.
-        self.finished_scratch.clear();
-        while let Some((at, seq)) = self.completions.pop_due(cycle) {
-            self.finished_scratch.push((seq, at));
-        }
-        if self.finished_scratch.is_empty() {
-            return;
-        }
-        self.tick_activity = true;
-        // Process in program order, as the original executing-list scan did.
-        self.finished_scratch.sort_unstable();
-        for i in 0..self.finished_scratch.len() {
-            let (seq, at) = self.finished_scratch[i];
-            // An earlier completion in this very cycle may have squashed this
-            // entry during mispredict recovery, and a squashed + re-issued
-            // instruction (trace-replay hand-backs re-fetch the same sequence
-            // numbers) leaves stale queue entries whose deadline no longer
-            // matches the live schedule.
-            let Some(e) = self.inflight.get_mut(seq) else {
-                continue;
-            };
-            if e.state != EntryState::Issued || e.complete_at != at {
-                continue;
-            }
-            e.state = EntryState::Completed;
-            let (has_dst, mispredicted) = (e.rename.dst.is_some(), e.mispredicted);
-            if has_dst {
-                self.energy.record(Unit::RegFileWrite, 1);
-            }
-            self.energy.record(Unit::ResultBus, 1);
-            if mispredicted && self.mode == Mode::Creation {
-                self.handle_creation_mispredict(seq, now);
+    /// The Flywheel's gates: Register Update checkpoint, redistribution
+    /// stalls, the DVFS evaluation, and trace-replay startup and operands.
+    #[inline]
+    fn next_event_ps(&self, k: &FlyKernel<I>) -> Option<u64> {
+        let mut t = u64::MAX;
+        // Cycle-numbered gates that open in the future (past thresholds are
+        // permanently inert).
+        for c in [self.stalled_until_cycle, self.checkpoint_ready_cycle] {
+            if c > k.be_cycles {
+                t = t.min(k.be_cycle_time_ps(c));
             }
         }
+        // The DVFS governor may change the back-end period at its next
+        // evaluation: never bulk-advance past it (this keeps the back-end
+        // period constant across every bounded idle stretch).
+        if let Some(d) = &self.dvfs {
+            t = t.min(k.be_cycle_time_ps(d.next_eval_cycle));
+        }
+        let r = match &self.mode {
+            Mode::Creation => {
+                // Pool redistribution is considered whenever the ROB drains.
+                if k.rob.is_empty() {
+                    t = t.min(k.be_cycle_time_ps(self.next_redistribution_cycle));
+                }
+                return Some(t);
+            }
+            Mode::Execution(r) => r,
+        };
+        if !r.diverged && r.pulled.len() < r.trace.len() && !k.oracle.done {
+            // The next back-end tick pulls (and trains on) oracle instructions.
+            t = t.min(k.be_time_ps);
+        } else if r.next_idx < r.pulled.len() {
+            // The machine is waiting to issue the next replay unit.
+            if k.rob.is_empty() && k.iw_len == 0 {
+                // The abandon-replay safety valve may fire next tick.
+                return None;
+            }
+            let unit_end = r.unit_end();
+            // Replay issues one unit per cycle: the next unit goes out at the
+            // first edge where the startup buffer, the Register Update
+            // checkpoint and all its source operands are due (capacity and
+            // pool blocks only delay it further, which a conservative bound
+            // may ignore). A checkpoint waiting on a retire is bounded by the
+            // completion events instead.
+            let issuable = unit_end.min(r.pulled.len()) == unit_end || r.diverged;
+            if issuable && self.checkpoint_wait_retire_of.is_none() {
+                let mut unit_time = k.be_time_ps;
+                for c in [r.ready_at_cycle, self.checkpoint_ready_cycle] {
+                    if c > k.be_cycles {
+                        unit_time = unit_time.max(k.be_cycle_time_ps(c));
+                    }
+                }
+                for inst in &r.trace.insts[r.next_idx..unit_end.min(r.pulled.len())] {
+                    for src in inst.stat.srcs() {
+                        let at = k.prf.ready_at(k.renamer.mapping(src));
+                        if at == u64::MAX {
+                            return None;
+                        }
+                        if at > k.be_cycles {
+                            unit_time = unit_time.max(k.be_cycle_time_ps(at));
+                        }
+                    }
+                }
+                t = t.min(unit_time);
+            }
+        }
+        // A fully drained replay transitions out with tick activity, so no
+        // further events are needed here.
+        Some(t)
     }
 
-    /// A mispredicted branch resolved in trace-creation mode: finish the trace being
-    /// built, squash, and either restart the front end or switch to the Execution
-    /// Cache path.
-    fn handle_creation_mispredict(&mut self, branch_seq: u64, now: u64) {
-        // Squash younger instructions (none exist when fetch stalls on the branch,
-        // but keep the logic for robustness).
-        while let Some(&tail) = self.rob.back() {
-            if tail <= branch_seq {
-                break;
-            }
-            self.rob.pop_back();
-            let entry = self.inflight.remove(tail).expect("squashed entry exists");
-            if entry.in_iw {
-                self.iw_len -= 1;
-            }
-            self.pools.squash(&entry.rename);
-            self.note_squashed(tail);
-        }
-        while let Some(&seq) = self.frontend_q.back() {
-            if seq <= branch_seq {
-                break;
-            }
-            self.frontend_q.pop_back();
-            self.inflight.remove(seq);
-            self.note_squashed(seq);
-        }
-        while self.lsq.back().is_some_and(|&s| s > branch_seq) {
-            self.lsq.pop_back();
-        }
-        // Squashed executing instructions leave stale completion-queue entries;
-        // `complete` validates them against the live table on pop.
-        self.sched.squash_after(branch_seq);
-        self.stores.squash_after(branch_seq);
-
-        if self.fetch_blocked_on_branch == Some(branch_seq) {
-            self.fetch_blocked_on_branch = None;
-        }
-        // The Rename Table checkpoint (FRT -> RT copy) cannot happen before the
-        // mispredicted instruction retires.
-        self.checkpoint_wait_retire_of = Some(branch_seq);
-
-        // Store the trace built so far.
-        self.store_current_trace();
-
-        // Search the EC for a trace starting at the correct target.
-        let target = self.inflight[branch_seq].d.next_pc;
-        if self.cfg.execution_cache && self.try_switch_to_execution(target) {
-            return;
-        }
-        // Miss: restart the front end at the correct target; a new trace starts with
-        // the next dispatched instruction.
-        let redirect_delay = self.fe_period_ps * (1 + self.cfg.base.redirect_sync_fe_cycles) as u64;
-        self.fetch_resume_at_ps = self.fetch_resume_at_ps.max(now + redirect_delay);
+    /// Traces recorded during warm-up were built while the branch predictor and
+    /// the caches were still cold, so their schedules are unrepresentative.
+    /// Mirroring the paper's fast-forward discipline, measurement starts with
+    /// warm predictor/cache state but lets the Execution Cache refill with
+    /// traces built under that warm behaviour. A replay that is already in
+    /// progress keeps its (shared) trace and simply runs to its end.
+    fn begin_measurement(&mut self, k: &mut FlyKernel<I>) {
+        self.ec.invalidate_all();
         self.builder = None;
+        self.builder_dispatched = 0;
+        self.measure_start = Some(Snapshot {
+            exec_mode_ps: self.exec_mode_ps,
+            creation_mode_ps: self.creation_mode_ps,
+            trace_switches: self.trace_switches,
+            trace_divergences: self.trace_divergences,
+            ec: self.ec.stats(),
+            pools: k.renamer.stats(),
+        });
     }
 
-    /// Counts a squashed instruction and clears any pipeline markers pointing at
-    /// it. A younger mispredicted branch can be squashed by an older one
-    /// resolving in the same cycle; leaving `fetch_blocked_on_branch` (or the
-    /// FRT checkpoint) aimed at the dead instruction would stall the front end
-    /// forever — the original HashMap kernel hit this as a "completing entry
-    /// must exist" panic on long runs.
-    fn note_squashed(&mut self, seq: u64) {
-        self.squashed += 1;
-        if self.fetch_blocked_on_branch == Some(seq) {
-            self.fetch_blocked_on_branch = None;
+    fn telemetry(&mut self, k: &FlyKernel<I>, t: &mut TelemetryRecorder) {
+        let executing = self.executing();
+        if executing != self.tel_executing {
+            self.tel_executing = executing;
+            t.mode_edge(executing, k.be_cycles, k.fe_cycles);
         }
-        if self.checkpoint_wait_retire_of == Some(seq) {
-            self.checkpoint_wait_retire_of = None;
-            self.checkpoint_ready_cycle = self.be_cycles + 1;
+        let stalls = k.renamer.stats().pool_stalls;
+        if stalls != self.tel_pool_stalls {
+            t.pool_stalls(k.be_cycles, stalls - self.tel_pool_stalls);
+            self.tel_pool_stalls = stalls;
         }
     }
 
-    fn store_current_trace(&mut self) {
+    fn dump(&self) -> String {
+        let mode = match &self.mode {
+            Mode::Creation => "creation mode".to_owned(),
+            Mode::Execution(r) => format!(
+                "execution mode replaying {} at index {} of {} ({} pulled{})",
+                r.trace.start_pc,
+                r.next_idx,
+                r.trace.len(),
+                r.pulled.len(),
+                if r.diverged { ", diverged" } else { "" }
+            ),
+        };
+        format!(
+            "; {mode}, checkpoint waits on {:?} and opens at cycle {}, redistribution stall \
+             until cycle {}",
+            self.checkpoint_wait_retire_of, self.checkpoint_ready_cycle, self.stalled_until_cycle,
+        )
+    }
+}
+
+impl Flywheel {
+    #[inline]
+    fn executing(&self) -> bool {
+        matches!(self.mode, Mode::Execution(_))
+    }
+
+    /// Switches mode, and with it the back-end period in force.
+    fn set_mode<I: Iterator<Item = DynInst>>(&mut self, k: &mut FlyKernel<I>, mode: Mode) {
+        k.be_period_ps = match mode {
+            Mode::Creation => k.iw_period_ps,
+            Mode::Execution(_) => self.be_period_exec_ps,
+        };
+        self.mode = mode;
+    }
+
+    #[inline]
+    fn register_update_allowed<I: Iterator<Item = DynInst>>(&self, k: &FlyKernel<I>) -> bool {
+        self.checkpoint_wait_retire_of.is_none() && k.be_cycles >= self.checkpoint_ready_cycle
+    }
+
+    fn store_current_trace<I: Iterator<Item = DynInst>>(&mut self, k: &mut FlyKernel<I>) {
         if let Some(builder) = self.builder.take() {
             if !builder.is_empty() && self.cfg.execution_cache {
                 let trace = builder.finish();
                 let blocks = self.ec.insert(trace);
-                self.energy.record(Unit::EcDataWrite, blocks);
+                k.energy.record(Unit::EcDataWrite, blocks);
             }
         }
         self.builder_dispatched = 0;
@@ -1079,188 +584,83 @@ impl<I: Iterator<Item = DynInst>> FlywheelSim<I> {
     /// Looks up `target` in the EC and, on a hit, switches to trace-execution mode.
     /// Any instructions still waiting in the front-end queue are handed back to the
     /// oracle stream (they will be replayed from the EC instead).
-    fn try_switch_to_execution(&mut self, target: Pc) -> bool {
-        self.energy.record(Unit::EcTagLookup, 1);
+    fn try_switch_to_execution<I: Iterator<Item = DynInst>>(
+        &mut self,
+        k: &mut FlyKernel<I>,
+        target: Pc,
+    ) -> bool {
+        k.energy.record(Unit::EcTagLookup, 1);
         let Some(trace) = self.ec.lookup(target).cloned() else {
             return false;
         };
-        self.store_current_trace();
+        self.store_current_trace(k);
         // Hand un-dispatched front-end instructions back to the oracle. The queue
         // is in program order, so popping from the back and pushing to the front
         // of the pushback queue preserves the stream order.
-        while let Some(seq) = self.frontend_q.pop_back() {
-            if let Some(entry) = self.inflight.remove(seq) {
-                self.pushback.push_front(entry.d);
+        while let Some(seq) = k.frontend_q.pop_back() {
+            if let Some(entry) = k.inflight.remove(seq) {
+                k.oracle.push_front(entry.d);
             }
         }
-        self.fetch_blocked_on_branch = None;
-        self.mode = Mode::Execution;
+        k.fetch_blocked_on_branch = None;
         self.trace_switches += 1;
-        let ready_at_cycle = self.be_cycles + self.cfg.ec.hit_cycles as u64;
-        self.replay = Some(Replay {
-            trace,
-            pulled: Vec::new(),
-            diverged: false,
-            next_idx: 0,
-            ready_at_cycle,
-            consumed: 0,
-        });
+        let ready_at_cycle = k.be_cycles + self.cfg.ec.hit_cycles as u64;
+        self.set_mode(k, Mode::Execution(Replay::new(trace, ready_at_cycle)));
         true
-    }
-
-    // -------------------------------------------------------- creation-mode issue
-
-    fn issue_creation(&mut self, now: u64) {
-        let cycle = self.be_cycles;
-        let wakeup_extra = if self.cfg.base.pipelined_wakeup { 1 } else { 0 };
-        let mut issued_count = 0;
-        self.issued_scratch.clear();
-        self.sched.release_due(&self.inflight, &self.stores, cycle);
-
-        // Scan only woken entries (all sources produced), in program order — the
-        // same order the original kernel walked the whole Issue Window in. A
-        // store issued mid-scan returns the loads it blocked to the list behind
-        // the scan position, so the length is re-read on every step.
-        let mut i = 0;
-        while i < self.sched.ready_len() {
-            if issued_count >= self.cfg.base.issue_width {
-                break;
-            }
-            let seq = self.sched.ready_seq(i);
-            i += 1;
-            let (op, srcs_len, visible_at, ready_cycle, mem_addr, pc, stat) = {
-                let e = &self.inflight[seq];
-                (
-                    e.d.stat.op(),
-                    e.rename.srcs.len(),
-                    e.visible_at_ps,
-                    e.ready_cycle,
-                    e.d.mem.map(|m| m.addr),
-                    e.d.pc,
-                    e.d.stat,
-                )
-            };
-            if visible_at > now {
-                continue;
-            }
-            if ready_cycle.saturating_add(wakeup_extra) > cycle {
-                continue;
-            }
-            if !self.fus.can_issue(op) {
-                continue;
-            }
-            let blocked = op == OpClass::Load && self.stores.blocks_load(seq);
-            debug_assert!(!blocked, "store-blocked load {seq} on the ready list");
-            if blocked {
-                continue;
-            }
-            assert!(self.fus.try_issue(op));
-            let exec_cycles = self.execution_latency(seq, op, mem_addr, self.be_period_creation_ps);
-            self.start_execution(seq, exec_cycles);
-            self.iw_len -= 1;
-            // Record the issued instruction into the trace being built.
-            if self.cfg.execution_cache && seq >= self.builder_start_seq {
-                if let Some(builder) = self.builder.as_mut() {
-                    builder.record(seq, pc, stat);
-                }
-            }
-            self.energy.record(Unit::RegFileRead, srcs_len as u64);
-            self.energy.record(Self::fu_energy_unit(op), 1);
-            if op.is_mem() {
-                self.energy.record(Unit::Lsq, 1);
-            }
-            self.issued_scratch.push(seq);
-            issued_count += 1;
-        }
-        if issued_count > 0 {
-            self.tick_activity = true;
-        }
-        if let Some(builder) = self.builder.as_mut() {
-            builder.close_unit();
-        }
-        self.sched.remove_issued(&self.issued_scratch);
-        self.sched.drain_wakes(&mut self.inflight);
-    }
-
-    fn start_execution(&mut self, seq: u64, exec_cycles: u64) {
-        let cycle = self.be_cycles;
-        let wakeup_ready = cycle + exec_cycles;
-        let complete_at = cycle + self.cfg.base.reg_read_cycles as u64 + exec_cycles;
-        let (op, line) = {
-            let e = &mut self.inflight[seq];
-            e.state = EntryState::Issued;
-            e.complete_at = complete_at;
-            e.in_iw = false;
-            if let Some(dst) = e.rename.dst {
-                self.prf.mark_ready(dst, wakeup_ready);
-                self.sched.defer_wake(dst, wakeup_ready);
-            }
-            (e.d.stat.op(), e.d.mem.map(|m| m.addr & !63))
-        };
-        if op == OpClass::Store {
-            let line = line.expect("stores carry an address");
-            self.sched.issue_store(&mut self.stores, seq, line);
-        }
-        self.completions.push(complete_at, seq);
     }
 
     // -------------------------------------------------------- execution-mode issue
 
-    fn issue_execution(&mut self) {
-        let Some(mut replay) = self.replay.take() else {
-            // Should not happen; fall back to creation mode.
-            self.tick_activity = true;
-            self.enter_creation_mode_at_next_oracle_pc();
-            return;
-        };
-
+    /// One trace-execution cycle of `replay`; leaves the machine in the mode
+    /// the replay continues or ends in.
+    fn issue_execution<I: Iterator<Item = DynInst>>(
+        &mut self,
+        k: &mut FlyKernel<I>,
+        mut replay: Replay,
+    ) {
         // Pull oracle instructions that follow the recorded path.
         while !replay.diverged && replay.pulled.len() < replay.trace.len() {
             let expected_pc = replay.trace.insts[replay.pulled.len()].pc;
-            match self.peek_trace_inst() {
-                Some(d) if d.pc == expected_pc => {
-                    let d = self.next_trace_inst().expect("peeked instruction exists");
+            match k.oracle.peek().map(|d| d.pc == expected_pc) {
+                Some(true) => {
+                    let d = k.oracle.pull().expect("peeked instruction exists");
                     // Retirement keeps sending branch-predictor updates even while
                     // the front end is gated, so the predictor stays coherent for
                     // the next trace-creation phase.
-                    self.bpred.train(&d);
+                    k.bpred.train(&d);
                     replay.pulled.push(d);
-                    self.tick_activity = true;
+                    k.tick_activity = true;
                 }
-                Some(_) => {
+                Some(false) => {
                     replay.diverged = true;
                     self.trace_divergences += 1;
-                    self.tick_activity = true;
+                    k.tick_activity = true;
                 }
                 None => break,
             }
         }
 
-        let startup_done = self.be_cycles >= replay.ready_at_cycle;
+        let startup_done = k.be_cycles >= replay.ready_at_cycle;
 
         // Issue the next issue unit (in-order, VLIW-like).
-        if startup_done && self.register_update_allowed() && replay.next_idx < replay.pulled.len() {
-            let unit = replay.trace.insts[replay.next_idx].unit;
-            // Full extent of the unit in the recorded trace.
-            let mut unit_end = replay.next_idx;
-            while unit_end < replay.trace.len() && replay.trace.insts[unit_end].unit == unit {
-                unit_end += 1;
-            }
+        if startup_done && self.register_update_allowed(k) && replay.next_idx < replay.pulled.len()
+        {
+            let unit_end = replay.unit_end();
             // Only instructions already verified against the actual stream can issue;
             // a partially verified unit waits unless the stream has diverged (the
             // unverified tail will never execute).
             let end = unit_end.min(replay.pulled.len());
             if end == unit_end || replay.diverged {
                 let group = replay.next_idx..end;
-                if !group.is_empty() && self.can_issue_replay_group(&replay, group.clone()) {
-                    self.tick_activity = true;
+                if !group.is_empty() && self.can_issue_replay_group(k, &replay, group.clone()) {
+                    k.tick_activity = true;
                     for idx in group {
-                        self.issue_replay_inst(&mut replay, idx);
+                        self.issue_replay_inst(k, &mut replay, idx);
                     }
-                    self.sched.drain_wakes(&mut self.inflight);
+                    k.sched.drain_wakes(&mut k.inflight);
                     replay.next_idx = end;
-                } else if !group.is_empty() && self.rob.is_empty() && self.iw_len == 0 {
-                    self.tick_activity = true;
+                } else if !group.is_empty() && k.rob.is_empty() && k.iw_len == 0 {
+                    k.tick_activity = true;
                     // Safety valve: with nothing in flight the unit can only be
                     // blocked by state that will never change (e.g. a pool shrunk by
                     // a redistribution below what the recorded schedule assumed).
@@ -1268,12 +668,11 @@ impl<I: Iterator<Item = DynInst>> FlywheelSim<I> {
                     // instructions already verified but not yet issued go back to the
                     // oracle stream so the front end re-fetches them.
                     for d in replay.pulled[replay.next_idx..].iter().rev() {
-                        self.pushback.push_front(d.clone());
+                        k.oracle.push_front(d.clone());
                     }
                     self.ec.remove(replay.trace.start_pc);
-                    self.replay = None;
-                    self.checkpoint_ready_cycle = self.be_cycles + 1;
-                    self.enter_creation_mode_at_next_oracle_pc();
+                    self.checkpoint_ready_cycle = k.be_cycles + 1;
+                    self.enter_creation_mode_at_next_oracle_pc(k);
                     return;
                 }
             }
@@ -1283,11 +682,11 @@ impl<I: Iterator<Item = DynInst>> FlywheelSim<I> {
         let finished_all = replay.next_idx >= replay.trace.len();
         let finished_diverged = replay.diverged && replay.next_idx >= replay.pulled.len();
         if finished_all || finished_diverged {
-            self.tick_activity = true;
+            k.tick_activity = true;
             if replay.diverged {
                 // The offending branch must retire before the next trace can pass
                 // Register Update (FRT checkpoint).
-                self.set_checkpoint_after(replay.pulled.last().map(|d| d.seq));
+                self.set_checkpoint_after(k, replay.pulled.last().map(|d| d.seq));
                 // The recorded schedule no longer matches the program's behaviour;
                 // drop it so the front end builds a fresh (longer) trace for this
                 // path the next time it is reached.
@@ -1295,37 +694,45 @@ impl<I: Iterator<Item = DynInst>> FlywheelSim<I> {
             } else if self.cfg.srt {
                 // Natural trace end detected before Register Update: the SRT swap
                 // costs a single cycle.
-                self.checkpoint_ready_cycle = self.be_cycles + 1;
+                self.checkpoint_ready_cycle = k.be_cycles + 1;
             } else {
-                self.set_checkpoint_after(replay.pulled.last().map(|d| d.seq));
+                self.set_checkpoint_after(k, replay.pulled.last().map(|d| d.seq));
             }
-            self.replay = None;
-            self.next_trace_segment();
+            self.next_trace_segment(k);
             return;
         }
-        self.replay = Some(replay);
+        self.mode = Mode::Execution(replay);
     }
 
     /// Blocks Register Update until `seq` retires; if it already left the machine,
     /// the checkpoint only costs the usual single cycle.
-    fn set_checkpoint_after(&mut self, seq: Option<u64>) {
+    fn set_checkpoint_after<I: Iterator<Item = DynInst>>(
+        &mut self,
+        k: &FlyKernel<I>,
+        seq: Option<u64>,
+    ) {
         match seq {
-            Some(s) if self.inflight.contains(s) => {
+            Some(s) if k.inflight.contains(s) => {
                 self.checkpoint_wait_retire_of = Some(s);
             }
-            _ => self.checkpoint_ready_cycle = self.be_cycles + 1,
+            _ => self.checkpoint_ready_cycle = k.be_cycles + 1,
         }
     }
 
-    fn can_issue_replay_group(&self, replay: &Replay, group: std::ops::Range<usize>) -> bool {
-        if self.rob.len() + group.len() > self.cfg.base.rob_entries as usize {
+    fn can_issue_replay_group<I: Iterator<Item = DynInst>>(
+        &self,
+        k: &FlyKernel<I>,
+        replay: &Replay,
+        group: std::ops::Range<usize>,
+    ) -> bool {
+        if k.rob.len() + group.len() > self.cfg.base.rob_entries as usize {
             return false;
         }
         let mem_count = group
             .clone()
             .filter(|&i| replay.trace.insts[i].stat.op().is_mem())
             .count();
-        if self.lsq.len() + mem_count > self.cfg.base.lsq_entries as usize {
+        if k.lsq.len() + mem_count > self.cfg.base.lsq_entries as usize {
             return false;
         }
         // Operand readiness: sources must be available (pre-scheduled VLIW-like
@@ -1334,13 +741,13 @@ impl<I: Iterator<Item = DynInst>> FlywheelSim<I> {
         for i in group {
             let stat = replay.trace.insts[i].stat;
             for src in stat.srcs() {
-                let phys = self.pools.mapping(src);
-                if !self.prf.is_ready(phys, self.be_cycles) {
+                let phys = k.renamer.mapping(src);
+                if !k.prf.is_ready(phys, k.be_cycles) {
                     return false;
                 }
             }
             if let Some(dst) = stat.dst() {
-                if !self.pools.can_allocate(dst) {
+                if !k.renamer.can_allocate(dst) {
                     return false;
                 }
             }
@@ -1348,163 +755,109 @@ impl<I: Iterator<Item = DynInst>> FlywheelSim<I> {
         true
     }
 
-    fn issue_replay_inst(&mut self, replay: &mut Replay, idx: usize) {
+    fn issue_replay_inst<I: Iterator<Item = DynInst>>(
+        &mut self,
+        k: &mut FlyKernel<I>,
+        replay: &mut Replay,
+        idx: usize,
+    ) {
         let d = replay.pulled[idx].clone();
         let seq = d.seq;
         let op = d.stat.op();
         let mem_addr = d.mem.map(|m| m.addr);
-        let rename = self
-            .pools
-            .rename(&d.stat, &mut self.prf)
+        let rename = k
+            .renamer
+            .rename(&d.stat, &mut k.prf)
             // Pool capacity cannot be exceeded during replay: the same allocation
             // pattern already succeeded during trace creation and the ROB bounds the
             // number of in-flight writes. If it does happen (after a redistribution
             // shrank a pool), fall back to reusing the current mapping.
             .unwrap_or_default();
-        self.energy.record(Unit::RegisterUpdate, 1);
-        self.energy
+        k.energy.record(Unit::RegisterUpdate, 1);
+        k.energy
             .record(Unit::RegFileRead, d.stat.srcs().count() as u64);
-        self.energy.record(Self::fu_energy_unit(op), 1);
+        k.energy.record(fu_energy_unit(op), 1);
         if op.is_mem() {
-            self.energy.record(Unit::Lsq, 1);
+            k.energy.record(Unit::Lsq, 1);
         }
         // Data-array block accounting: one read per block of instructions consumed.
         if replay
             .consumed
             .is_multiple_of(self.cfg.ec.block_insts as u64)
         {
-            self.energy.record(Unit::EcDataRead, 1);
+            k.energy.record(Unit::EcDataRead, 1);
         }
         replay.consumed += 1;
 
-        self.inflight.insert(InflightEntry::new_replay(d, rename));
-        self.rob.push_back(seq);
+        k.inflight.insert(InflightEntry::new_replay(d, rename));
+        k.rob.push_back(seq);
         if op.is_mem() {
-            self.lsq.push_back(seq);
+            k.lsq.push_back(seq);
         }
-        let exec_cycles = self.execution_latency(seq, op, mem_addr, self.be_period_exec_ps);
-        self.start_execution(seq, exec_cycles);
+        let exec_cycles = k.execution_latency(seq, op, mem_addr, self.be_period_exec_ps);
+        k.start_execution(seq, exec_cycles);
     }
 
     /// After a trace ends, decide where execution continues: another trace from the
     /// EC, or the front end.
-    fn next_trace_segment(&mut self) {
-        let Some(next) = self.peek_trace_inst() else {
-            self.mode = Mode::Creation;
+    fn next_trace_segment<I: Iterator<Item = DynInst>>(&mut self, k: &mut FlyKernel<I>) {
+        let Some(next_pc) = k.oracle.peek().map(|d| d.pc) else {
+            self.set_mode(k, Mode::Creation);
             return;
         };
         if self.cfg.execution_cache {
-            self.energy.record(Unit::EcTagLookup, 1);
-            if let Some(trace) = self.ec.lookup(next.pc).cloned() {
+            k.energy.record(Unit::EcTagLookup, 1);
+            if let Some(trace) = self.ec.lookup(next_pc).cloned() {
                 self.trace_switches += 1;
                 // For natural trace-to-trace transitions the next look-up is started
                 // ahead of time, so the data-array latency is hidden and only the
                 // single-cycle SRT swap (already charged through
                 // `checkpoint_ready_cycle`) is visible.
-                let ready_at_cycle = self.be_cycles + 1;
-                self.replay = Some(Replay {
-                    trace,
-                    pulled: Vec::new(),
-                    diverged: false,
-                    next_idx: 0,
-                    ready_at_cycle,
-                    consumed: 0,
-                });
-                self.mode = Mode::Execution;
+                let ready_at_cycle = k.be_cycles + 1;
+                self.set_mode(k, Mode::Execution(Replay::new(trace, ready_at_cycle)));
                 return;
             }
         }
-        self.enter_creation_mode_at_next_oracle_pc();
+        self.enter_creation_mode_at_next_oracle_pc(k);
     }
 
-    fn enter_creation_mode_at_next_oracle_pc(&mut self) {
-        self.mode = Mode::Creation;
+    fn enter_creation_mode_at_next_oracle_pc<I: Iterator<Item = DynInst>>(
+        &mut self,
+        k: &mut FlyKernel<I>,
+    ) {
+        self.set_mode(k, Mode::Creation);
         self.builder = None;
         self.builder_dispatched = 0;
-        self.fetch_blocked_on_branch = None;
+        k.fetch_blocked_on_branch = None;
         // The front end needs a redirect-like restart before it can supply
         // instructions again.
-        let redirect_delay = self.fe_period_ps * (1 + self.cfg.base.redirect_sync_fe_cycles) as u64;
-        self.fetch_resume_at_ps = self.fetch_resume_at_ps.max(self.now_ps() + redirect_delay);
+        k.redirect_fetch(k.now_ps());
     }
 
-    // ------------------------------------------------------------------ shared
-
-    fn retire(&mut self) {
-        let mut n = 0;
-        while n < self.cfg.base.commit_width && self.retired < self.retire_limit {
-            let Some(&head) = self.rob.front() else { break };
-            if self.inflight[head].state != EntryState::Completed {
-                break;
-            }
-            self.rob.pop_front();
-            let entry = self.inflight.remove(head).expect("retiring entry exists");
-            self.pools.commit(&entry.rename);
-            let op = entry.d.stat.op();
-            if op.is_mem() {
-                // The ROB head is the oldest in-flight instruction, so a retiring
-                // memory instruction is always the LSQ head.
-                debug_assert_eq!(self.lsq.front(), Some(&head));
-                self.lsq.pop_front();
-                if op == OpClass::Store {
-                    self.stores.on_store_retire(head);
-                }
-            }
-            if self.checkpoint_wait_retire_of == Some(head) {
-                // FRT -> RT copy can proceed on the next cycle.
-                self.checkpoint_wait_retire_of = None;
-                self.checkpoint_ready_cycle = self.be_cycles + 1;
-            }
-            self.energy.record(Unit::Retire, 1);
-            self.retired += 1;
-            self.last_progress_cycle = self.be_cycles;
-            self.tick_activity = true;
-            n += 1;
-        }
-    }
-
-    fn fu_energy_unit(op: OpClass) -> Unit {
-        match op {
-            OpClass::IntMul | OpClass::IntDiv => Unit::FuIntMulDiv,
-            OpClass::FpAdd => Unit::FuFpAdd,
-            OpClass::FpMul | OpClass::FpDiv => Unit::FuFpMulDiv,
-            _ => Unit::FuIntAlu,
-        }
-    }
-
-    fn execution_latency(
-        &mut self,
-        seq: u64,
-        op: OpClass,
-        mem_addr: Option<u64>,
-        be_period_ps: u64,
-    ) -> u64 {
-        let base = op.base_latency() as u64;
-        match op {
-            OpClass::Load => {
-                let addr = mem_addr.expect("loads carry an address");
-                if self.stores.forwards_to(seq, addr & !63) {
-                    return base;
-                }
-                self.energy.record(Unit::DCache, 1);
-                let outcome = self.hierarchy.data(addr);
-                if outcome != AccessOutcome::L1 {
-                    self.energy.record(Unit::L2, 1);
-                }
-                let extra_ps = self.hierarchy.extra_latency_ps(outcome);
-                let extra_cycles = extra_ps.div_ceil(be_period_ps);
-                base + self.cfg.base.l1_hit_cycles as u64 + extra_cycles
-            }
-            OpClass::Store => {
-                self.energy.record(Unit::DCache, 1);
-                let addr = mem_addr.expect("stores carry an address");
-                let outcome = self.hierarchy.data(addr);
-                if outcome != AccessOutcome::L1 {
-                    self.energy.record(Unit::L2, 1);
-                }
-                base
-            }
-            _ => base,
+    /// The Flywheel statistics of the measured interval.
+    fn stats<I: Iterator<Item = DynInst>>(&self, k: &FlyKernel<I>) -> FlywheelStats {
+        let start = self.measure_start.as_ref().expect("measurement started");
+        let exec_ps = self.exec_mode_ps - start.exec_mode_ps;
+        let creation_ps = self.creation_mode_ps - start.creation_mode_ps;
+        let residency = if exec_ps + creation_ps == 0 {
+            0.0
+        } else {
+            exec_ps as f64 / (exec_ps + creation_ps) as f64
+        };
+        let ec_now = self.ec.stats();
+        let pool_now = k.renamer.stats();
+        FlywheelStats {
+            exec_mode_ps: exec_ps,
+            creation_mode_ps: creation_ps,
+            ec_residency: residency,
+            ec_lookups: ec_now.lookups - start.ec.lookups,
+            ec_hits: ec_now.hits - start.ec.hits,
+            traces_stored: ec_now.traces_stored - start.ec.traces_stored,
+            ec_utilization: self.ec.utilization(),
+            trace_switches: self.trace_switches - start.trace_switches,
+            trace_divergences: self.trace_divergences - start.trace_divergences,
+            pool_stalls: pool_now.pool_stalls - start.pools.pool_stalls,
+            redistributions: pool_now.redistributions - start.pools.redistributions,
         }
     }
 }
@@ -1513,7 +866,8 @@ impl<I: Iterator<Item = DynInst>> FlywheelSim<I> {
 mod tests {
     use super::*;
     use flywheel_timing::TechNode;
-    use flywheel_uarch::{BaselineConfig, BaselineSim};
+    use flywheel_uarch::kernel::NO_PROGRESS_WINDOW;
+    use flywheel_uarch::{BaselineConfig, BaselineSim, SimResult};
     use flywheel_workloads::{Benchmark, TraceGenerator};
 
     fn flywheel_on(b: Benchmark, cfg: FlywheelConfig, budget: SimBudget) -> FlywheelResult {
@@ -1783,5 +1137,37 @@ mod tests {
             .run(budget)
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn no_progress_guard_names_the_checkpoint_it_is_stuck_on() {
+        let program = Benchmark::Micro.synthesize(42);
+        for dvfs in [false, true] {
+            let trace = TraceGenerator::new(&program, 42);
+            let mut sim = if dvfs {
+                FlywheelSim::new_dvfs(crate::DvfsConfig::paper(TechNode::N130, 0, 0), trace)
+            } else {
+                FlywheelSim::new(FlywheelConfig::paper_iso_clock(TechNode::N130), trace)
+            };
+            // Register Update waits on an instruction that never retires, so
+            // nothing ever dispatches.
+            sim.fly.checkpoint_wait_retire_of = Some(u64::MAX);
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sim.run(SimBudget::new(10, 100))
+            }))
+            .expect_err("a machine that never dispatches must trip the guard");
+            let msg = err
+                .downcast::<String>()
+                .expect("the guard is a plain panic, not a watchdog timeout");
+            let trip = format!(
+                "tripped at cycle {}, last retirement at cycle 0",
+                NO_PROGRESS_WINDOW + 1
+            );
+            assert!(msg.contains(&trip), "dvfs {dvfs}: {msg}");
+            assert!(
+                msg.contains("creation mode, checkpoint waits on Some(18446744073709551615)"),
+                "dvfs {dvfs}: {msg}"
+            );
+        }
     }
 }

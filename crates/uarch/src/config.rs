@@ -285,6 +285,28 @@ impl BaselineConfig {
                 ));
             }
         }
+        // The kernels' no-progress guard treats `NO_PROGRESS_WINDOW` back-end
+        // cycles without a retirement as a simulator bug. A healthy machine
+        // comes closest when a fetch miss and a data miss to memory wait back
+        // to back: two memory latencies, counted in cycles of the fastest
+        // back-end clock in use (at least twice the baseline clock, the DVFS
+        // governor's bound). Keeping twice that inside the window leaves room
+        // for L2 hits and queueing on top.
+        let be_speedup = self
+            .clocks
+            .baseline_period_ps
+            .div_ceil(self.clocks.backend_period_ps)
+            .max(2);
+        let miss_pair_be_cycles = 2 * u64::from(self.mem_cycles) * be_speedup;
+        if 2 * miss_pair_be_cycles >= crate::kernel::NO_PROGRESS_WINDOW {
+            return Err(format!(
+                "mem_cycles {} too long: a back-to-back fetch and data miss can last \
+                 {miss_pair_be_cycles} back-end cycles, more than half the {}-cycle \
+                 no-progress guard",
+                self.mem_cycles,
+                crate::kernel::NO_PROGRESS_WINDOW
+            ));
+        }
         Ok(())
     }
 }
@@ -381,6 +403,29 @@ mod tests {
             .validate()
             .expect_err("192 sets cannot be indexed by a mask");
         assert!(err.contains("dcache"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_a_memory_latency_the_progress_guard_would_trip_on() {
+        let mut c = BaselineConfig::paper_default();
+        for mem_cycles in [60, 100, 250, 300] {
+            c.mem_cycles = mem_cycles;
+            c.validate().unwrap();
+            // A back end twice as fast as the baseline clock still fits.
+            let mut fast = c.clone();
+            fast.clocks = ClockPlan::with_speedups(fast.node, 100, 100);
+            fast.validate().unwrap();
+        }
+        c.mem_cycles = 600_000;
+        let err = c
+            .validate()
+            .expect_err("a 600k-cycle memory would trip the no-progress guard");
+        assert!(err.contains("mem_cycles"), "{err}");
+        // The bound is a fixed multiple of the guard window.
+        c.mem_cycles = (crate::kernel::NO_PROGRESS_WINDOW / 8) as u32;
+        assert!(c.validate().is_err());
+        c.mem_cycles -= 1;
+        c.validate().unwrap();
     }
 
     #[test]

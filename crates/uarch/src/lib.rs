@@ -11,6 +11,9 @@
 //! * [`Cache`] / [`MemoryHierarchy`] — split L1s, unified L2, flat main memory.
 //! * [`GsharePredictor`] — gshare + BTB + return-address stack.
 //! * [`Renamer`] / [`PhysRegFile`] — R10000-style renaming and the ready scoreboard.
+//! * [`kernel`] — the kernel skeleton both machines run on: the shared run loop,
+//!   clock-domain edges, idle fast-forward and out-of-order stages, behind one
+//!   no-progress guard.
 //! * [`FunctionalUnits`] — per-kind issue bandwidth (Table 2 mix).
 //! * [`InflightTable`] / [`IssueScheduler`] / [`StoreIndex`] — the slab-indexed,
 //!   allocation-free in-flight bookkeeping both simulator kernels run their
@@ -32,6 +35,7 @@ mod cache;
 mod config;
 mod fu;
 mod inflight;
+pub mod kernel;
 mod pipeline;
 mod regs;
 mod stats;
@@ -46,5 +50,5 @@ pub use inflight::{
     CompletionQueue, EntryState, InflightEntry, InflightTable, IssueScheduler, StoreIndex,
 };
 pub use pipeline::BaselineSim;
-pub use regs::{PhysReg, PhysRegFile, RenameOutcome, Renamer, SrcList};
+pub use regs::{PhysReg, PhysRegFile, Rename, RenameOutcome, Renamer, SrcList};
 pub use stats::{SimBudget, SimResult};

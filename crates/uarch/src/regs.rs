@@ -124,6 +124,27 @@ pub struct RenameOutcome {
     pub dst_arch: Option<ArchReg>,
 }
 
+/// The register renaming interface the kernel dispatches through
+/// ([`crate::kernel::Kernel`] is generic over it).
+pub trait Rename {
+    /// Renames `inst`. Returns `None` when it cannot allocate a destination;
+    /// any state the attempt changes is the renamer's own bookkeeping.
+    fn rename(&mut self, inst: &StaticInst, prf: &mut PhysRegFile) -> Option<RenameOutcome>;
+
+    /// Releases what a retiring instruction's rename held.
+    fn commit(&mut self, outcome: &RenameOutcome);
+
+    /// Undoes a rename during mispredict recovery. Must be called in reverse
+    /// program order (youngest first).
+    fn squash(&mut self, outcome: &RenameOutcome);
+
+    /// Whether renaming `inst` provably fails, without side effects, until an
+    /// instruction retires. The idle fast-forward then need not wake for a
+    /// front-end queue head that waits only on the renamer; `false` is always
+    /// safe.
+    fn blocks(&self, inst: &StaticInst) -> bool;
+}
+
 /// MIPS R10000-style renamer: a map table from architected to physical registers plus
 /// a free list.
 ///
@@ -181,10 +202,12 @@ impl Renamer {
     pub fn mapping(&self, reg: ArchReg) -> PhysReg {
         self.map[reg.flat_index()]
     }
+}
 
-    /// Renames `inst`. Returns `None` (and changes nothing) if a destination register
-    /// is needed but the free list is empty.
-    pub fn rename(&mut self, inst: &StaticInst, prf: &mut PhysRegFile) -> Option<RenameOutcome> {
+impl Rename for Renamer {
+    /// Returns `None` (and changes nothing) if a destination register is
+    /// needed but the free list is empty.
+    fn rename(&mut self, inst: &StaticInst, prf: &mut PhysRegFile) -> Option<RenameOutcome> {
         let mut srcs = SrcList::default();
         if let Some(s) = inst.src1() {
             srcs.push(self.map[s.flat_index()]);
@@ -210,20 +233,24 @@ impl Renamer {
     }
 
     /// Frees the previous mapping when an instruction retires.
-    pub fn commit(&mut self, outcome: &RenameOutcome) {
+    fn commit(&mut self, outcome: &RenameOutcome) {
         if let Some(prev) = outcome.prev {
             self.free.push(prev);
         }
     }
 
-    /// Undoes a rename during mispredict recovery. Must be called in reverse program
-    /// order (youngest first).
-    pub fn squash(&mut self, outcome: &RenameOutcome) {
+    fn squash(&mut self, outcome: &RenameOutcome) {
         if let (Some(dst), Some(prev), Some(arch)) = (outcome.dst, outcome.prev, outcome.dst_arch) {
             debug_assert_eq!(self.map[arch.flat_index()], dst, "squash out of order");
             self.map[arch.flat_index()] = prev;
             self.free.push(dst);
         }
+    }
+
+    /// An empty free list fails every rename that writes a register, until
+    /// a retirement frees one.
+    fn blocks(&self, inst: &StaticInst) -> bool {
+        inst.dst().is_some() && self.free.is_empty()
     }
 }
 
