@@ -191,10 +191,9 @@ fn main() {
     if telemetry_path.is_some() {
         if let Some(summary) = flywheel_bench::telemetry::finish_global_telemetry() {
             println!(
-                "telemetry: {} events logged to {}, {} dropped",
+                "telemetry: {} events logged to {}",
                 summary.events,
-                summary.path.display(),
-                summary.dropped
+                summary.path.display()
             );
         }
     }

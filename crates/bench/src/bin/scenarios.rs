@@ -42,9 +42,10 @@
 //! nothing and edited scenarios only simulate the cells they changed),
 //! `--faults SPEC` (install a deterministic fault-injection plan, e.g.
 //! `seed=7,panic=2,torn=3` — see `flywheel_bench::fault`), `--telemetry PATH`
-//! (arm the in-kernel telemetry queue and drain it into a CRC-framed,
-//! content-addressed event log at PATH; off by default, and a disarmed run is
-//! byte-identical to one built without the flag).
+//! (arm the kernels' telemetry and append each simulated cell's events, as
+//! one block, to a CRC-framed, content-addressed event log at PATH; off by
+//! default, and a disarmed run is byte-identical to one built without the
+//! flag).
 //!
 //! A panicking or runaway cell no longer aborts the sweep: it is retried a
 //! bounded number of times and, if it keeps failing, reported in a
@@ -57,8 +58,8 @@
 //! one-line summary is printed. A clean store is left byte-untouched.
 //!
 //! `scenarios fsck-events <path>` verifies a telemetry event log: the schema
-//! header and every CRC32 frame are checked and a one-line summary (event,
-//! dropped and damaged-line counts) is printed; damage exits non-zero.
+//! header and every CRC32 frame are checked and a one-line summary (event and
+//! damaged-line counts) is printed; damage exits non-zero.
 //!
 //! `scenarios merge <A> <B> [--out C]` unions result stores: without `--out`,
 //! B's records are appended into A; with it, A then B are merged into C and
@@ -711,10 +712,9 @@ fn main() {
     if telemetry_path.is_some() {
         if let Some(summary) = flywheel_bench::telemetry::finish_global_telemetry() {
             println!(
-                "telemetry: {} events logged to {}, {} dropped",
+                "telemetry: {} events logged to {}",
                 summary.events,
-                summary.path.display(),
-                summary.dropped
+                summary.path.display()
             );
         }
     }

@@ -123,20 +123,23 @@ pub trait Executor {
     /// Simulates the cell against the shared recorded trace of its
     /// `(benchmark, seed)` pair, bypassing every store: the single choke
     /// point through which every cell simulation runs (and is
-    /// telemetry-tagged).
+    /// telemetry-recorded).
     fn simulate(&self, budget: SimBudget) -> RunStats {
         let a = *self.axes();
         let trace = crate::shared_trace(a.bench, a.seed, budget);
-        // When a telemetry sink is installed, arm the thread-local recorder
-        // for this cell, tagged with the same content address the store files
-        // the cell under. Disarmed cost: one atomic load.
-        let _telemetry = telemetry::arm_cell(|| {
-            (
-                self.key(budget),
-                store::cell_label(self.family_name(), a.bench, a.seed),
-            )
-        });
-        self.replay(trace.cursor(), budget)
+        // When a telemetry sink is installed, the run records into its own
+        // buffer, and its events land in the log as one block under the same
+        // content address the store files the cell under. Disarmed cost: one
+        // atomic load.
+        telemetry::record_cell(
+            || {
+                (
+                    self.key(budget),
+                    store::cell_label(self.family_name(), a.bench, a.seed),
+                )
+            },
+            || self.replay(trace.cursor(), budget),
+        )
     }
 }
 

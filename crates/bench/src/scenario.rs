@@ -29,7 +29,7 @@
 //!
 //! Execution is fault-tolerant: every cell runs under `catch_unwind` with an
 //! armed watchdog budget (cycle cap plus optional wall-clock deadline), so a
-//! panicking or runaway cell becomes a [`CellOutcome::Failed`] instead of
+//! panicking or runaway cell becomes a typed [`FailCause`] instead of
 //! tearing down the whole sweep. Failed cells get a bounded number of retries
 //! with deterministic backoff (recovering transient failures), and whatever
 //! still fails lands in the run's failed-cell manifest
@@ -390,44 +390,39 @@ impl Scenario {
             .map(|(c, k)| (*c, *k))
             .collect();
         let miss_cells: Vec<ScenarioCell> = misses.iter().map(|(c, _)| *c).collect();
-        let (slots, failed) = execute_cells(&miss_cells, budget, jobs);
+        let outcomes = execute_cells(&miss_cells, budget, jobs);
         // Keep each computed miss result keyed: a failed disk append (bad
         // disk, dead appender) degrades to serving the in-memory result for
         // this run instead of panicking the worker.
         let mut computed: std::collections::HashMap<StoreKey, CellResult> =
             std::collections::HashMap::new();
-        for ((cell, key), slot) in misses.iter().zip(&slots) {
-            let Some(result) = slot else {
-                continue; // failed cells are never inserted into the store
-            };
-            let stats = RunStats {
-                sim: result.sim.clone(),
-                flywheel: result.flywheel,
-            };
-            if let Err(e) = store.insert(*key, &cell.label(), stats) {
-                eprintln!("warning: could not append to the result store: {e}");
+        let mut failed = Vec::new();
+        for ((cell, key), outcome) in misses.iter().zip(outcomes) {
+            match outcome {
+                Ok(result) => {
+                    let stats = RunStats {
+                        sim: result.sim.clone(),
+                        flywheel: result.flywheel,
+                    };
+                    if let Err(e) = store.insert(*key, &cell.label(), stats) {
+                        eprintln!("warning: could not append to the result store: {e}");
+                    }
+                    computed.insert(*key, result);
+                }
+                // Failed cells are never inserted into the store.
+                Err(f) => failed.push(f),
             }
-            computed.insert(*key, result.clone());
         }
-        let failed_keys: std::collections::HashSet<StoreKey> = misses
-            .iter()
-            .zip(&slots)
-            .filter(|(_, slot)| slot.is_none())
-            .map(|((_, k), _)| *k)
-            .collect();
         let mut cells = Vec::with_capacity(grid.len());
         let mut results = Vec::with_capacity(grid.len());
         for (cell, k) in grid.iter().zip(&keys) {
-            if failed_keys.contains(k) {
-                continue;
-            }
             let r = match store.get(k) {
                 Some(r) => CellResult {
                     sim: r.sim.clone(),
                     flywheel: r.flywheel,
                 },
-                // The store insert failed, so the key never landed; the
-                // result computed by the miss sweep still stands.
+                // A miss whose store insert failed still has the result
+                // computed above; a failed cell has neither.
                 None => match computed.get(k) {
                     Some(r) => r.clone(),
                     None => continue,
@@ -562,20 +557,19 @@ fn cell_watchdog_config(budget: SimBudget) -> WatchdogConfig {
 }
 
 /// Runs one cell attempt in isolation: watchdog armed, panics caught.
-fn run_cell_guarded(cell: &ScenarioCell, budget: SimBudget, attempt: u32) -> CellOutcome {
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
+fn run_cell_guarded(
+    cell: &ScenarioCell,
+    budget: SimBudget,
+    attempt: u32,
+) -> Result<CellResult, FailCause> {
+    catch_unwind(AssertUnwindSafe(|| {
         let _watchdog = watchdog::arm(cell_watchdog_config(budget));
         if fault::active() {
             inject_cell_fault(&cell.label(), attempt);
         }
         cell.run(budget)
-    }));
-    match outcome {
-        Ok(result) => CellOutcome::Done(result),
-        Err(payload) => CellOutcome::Failed {
-            cause: FailCause::from_panic_payload(payload),
-        },
-    }
+    }))
+    .map_err(FailCause::from_panic_payload)
 }
 
 /// Applies the installed fault plan to a cell attempt (no-op without a plan).
@@ -594,8 +588,9 @@ fn inject_cell_fault(label: &str, attempt: u32) {
 
 /// Runs one cell to completion with the executor's full panic isolation and
 /// bounded-retry policy, *without* re-running the fault-plan cell assignment
-/// (callers that sweep incrementally — the shard worker — assign once over
-/// their whole label set, then run cells one at a time between heartbeats).
+/// (callers assign once over their whole label set, then run cells one at a
+/// time: [`execute_cells`] across its workers, the shard worker between
+/// heartbeats).
 pub(crate) fn run_cell_with_retries(
     cell: &ScenarioCell,
     budget: SimBudget,
@@ -606,8 +601,8 @@ pub(crate) fn run_cell_with_retries(
             std::thread::sleep(Duration::from_millis(RETRY_BACKOFF_MS << (attempt - 1)));
         }
         match run_cell_guarded(cell, budget, attempt) {
-            CellOutcome::Done(r) => return Ok(r),
-            CellOutcome::Failed { cause } => last_cause = Some(cause),
+            Ok(r) => return Ok(r),
+            Err(cause) => last_cause = Some(cause),
         }
     }
     Err(FailedCell {
@@ -618,56 +613,18 @@ pub(crate) fn run_cell_with_retries(
     })
 }
 
-/// Runs `cells` with panic isolation and bounded retries. Returns one slot per
-/// input cell (`None` = failed after every attempt, in which case the second
-/// vector carries its manifest entry, in grid order).
+/// Runs `cells` on `jobs` workers, each cell with panic isolation and bounded
+/// retries: one outcome per cell, in grid order.
 fn execute_cells(
     cells: &[ScenarioCell],
     budget: SimBudget,
     jobs: usize,
-) -> (Vec<Option<CellResult>>, Vec<FailedCell>) {
+) -> Vec<Result<CellResult, FailedCell>> {
     if fault::active() {
         let labels: Vec<String> = cells.iter().map(|c| c.label()).collect();
         fault::assign_cells(&labels);
     }
-    let mut slots: Vec<Option<CellResult>> = vec![None; cells.len()];
-    let mut last_cause: Vec<Option<FailCause>> = vec![None; cells.len()];
-    let mut attempts_used: Vec<u32> = vec![0; cells.len()];
-    let mut pending: Vec<usize> = (0..cells.len()).collect();
-    for attempt in 0..MAX_CELL_ATTEMPTS {
-        if pending.is_empty() {
-            break;
-        }
-        if attempt > 0 {
-            std::thread::sleep(Duration::from_millis(RETRY_BACKOFF_MS << (attempt - 1)));
-        }
-        let batch: Vec<ScenarioCell> = pending.iter().map(|&i| cells[i]).collect();
-        let outcomes =
-            parallel_map_jobs(&batch, jobs, |cell| run_cell_guarded(cell, budget, attempt));
-        let mut still_failing = Vec::new();
-        for (&i, outcome) in pending.iter().zip(outcomes) {
-            attempts_used[i] = attempt + 1;
-            match outcome {
-                CellOutcome::Done(r) => slots[i] = Some(r),
-                CellOutcome::Failed { cause } => {
-                    last_cause[i] = Some(cause);
-                    still_failing.push(i);
-                }
-            }
-        }
-        pending = still_failing;
-    }
-    let failed = (0..cells.len())
-        .filter(|&i| slots[i].is_none())
-        .map(|i| FailedCell {
-            cell: cells[i],
-            cause: last_cause[i].take().unwrap_or_else(|| {
-                FailCause::Panic("cell failed without a recorded cause".to_owned())
-            }),
-            attempts: attempts_used[i],
-        })
-        .collect();
-    (slots, failed)
+    parallel_map_jobs(cells, jobs, |cell| run_cell_with_retries(cell, budget))
 }
 
 /// One point of an expanded scenario grid: a (benchmark, seed, machine,
@@ -771,7 +728,7 @@ pub struct CellResult {
     pub flywheel: Option<FlywheelStats>,
 }
 
-/// Why a cell failed (the `cause` of [`CellOutcome::Failed`]).
+/// Why a cell attempt failed (the `cause` of a [`FailedCell`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FailCause {
     /// The simulation panicked — a simulator bug or an injected fault.
@@ -818,22 +775,6 @@ impl std::fmt::Display for FailCause {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}: {}", self.kind(), self.message())
     }
-}
-
-/// The outcome of running one cell under the guarded executor.
-///
-/// Short-lived: produced per attempt and destructured immediately by
-/// `execute_cells`, so the variant size gap never sits in a collection.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, PartialEq)]
-pub enum CellOutcome {
-    /// The cell completed and produced a result.
-    Done(CellResult),
-    /// The cell failed; the sweep continues without it.
-    Failed {
-        /// What took the cell down.
-        cause: FailCause,
-    },
 }
 
 /// One entry of a degraded run's failed-cell manifest.
@@ -1547,14 +1488,14 @@ impl ScenarioRun {
             .collect()
     }
 
-    /// Telemetry events recorded for `cell` by the process-global sink (0
-    /// when telemetry is off — the column then stays all-zero, keeping
+    /// Telemetry events the process-global sink logged for `cell` (0 when
+    /// telemetry is off — the column then stays all-zero, keeping
     /// telemetry-off emissions byte-identical across runs).
     fn telemetry_events_for(&self, cell: &ScenarioCell) -> u64 {
         if !crate::telemetry::telemetry_installed() {
             return 0;
         }
-        crate::telemetry::telemetry_count_matching(&cell.key(self.scenario.budget).hex())
+        crate::telemetry::logged_events(&cell.key(self.scenario.budget))
     }
 
     /// Emits the run as CSV (one row per cell, header included).

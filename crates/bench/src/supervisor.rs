@@ -64,7 +64,7 @@ pub fn shard_status_path(status_dir: &Path, shard: usize) -> PathBuf {
     status_dir.join(format!("shard-{shard}.status"))
 }
 
-/// The telemetry event log a worker of shard `k` drains into (merged into the
+/// The telemetry event log a worker of shard `k` writes (merged into the
 /// main log after the sweep): `<base>.shard-K`.
 pub fn shard_telemetry_path(base: &Path, shard: usize) -> PathBuf {
     PathBuf::from(format!("{}.shard-{shard}", base.display()))
@@ -552,7 +552,7 @@ pub struct SupervisorConfig {
     /// Fault plan forwarded to workers (cell/store faults via the
     /// `FLYWHEEL_FAULTS` environment, process faults via `--proc-fault`).
     pub faults: Option<FaultPlan>,
-    /// When set, workers arm kernel telemetry and drain it into per-shard
+    /// When set, workers arm kernel telemetry and write it to per-shard
     /// event logs (`<base>.shard-K`), merged into the log at this base path
     /// after the sweep. `None` (the default) leaves telemetry disarmed and
     /// the sweep byte-identical to a build without it.

@@ -1,11 +1,10 @@
-//! The disk half of `flywheel-telemetry`: a background drain thread that
-//! flushes the in-memory [`TelemetryQueue`]
-//! into an append-only, CRC32-framed, content-addressed event log living
-//! beside `results.store`.
+//! The disk half of `flywheel-telemetry`: the process-global sink that
+//! appends each simulated cell's kernel events to an append-only,
+//! CRC32-framed, content-addressed event log living beside `results.store`.
 //!
 //! The split mirrors the store/query separation used elsewhere in the repo:
-//! `flywheel-uarch` owns the queue and the kernel-side recorder (so both
-//! kernels can append without new dependencies), this module owns
+//! `flywheel-uarch` owns the kernel-side recorder and its per-run buffer (so
+//! both kernels can record without new dependencies), this module owns
 //! persistence, and `flywheel-report` owns querying/rendering.
 //!
 //! ## Event-log format (`flywheel-telemetry/1`)
@@ -13,11 +12,10 @@
 //! One plain header line, then one framed line per event, reusing the exact
 //! `flywheel-store/3` per-record framing (`<len:08x> <crc:08x> <payload>`,
 //! see [`crate::store`]), so the same fsck logic detects torn appends and bit
-//! rot in both files. Two payload forms:
+//! rot in both files. Every payload has one form:
 //!
 //! ```text
-//! <store-key-hex:32> <cell-label> <event wire form>   # one telemetry event
-//! dropped <n>                                         # drop accounting
+//! <store-key-hex:32> <cell-label> <event wire form>
 //! ```
 //!
 //! The leading store key is the *same* content address the result store files
@@ -25,25 +23,28 @@
 //! events join against `results.store` records by key, and a stale log
 //! (written by a different code version) simply stops matching.
 //!
-//! Overflow never blocks a simulating thread; it is accounted in the queue's
-//! dropped counter and written out as an explicit `dropped <n>` line when the
-//! sink is finished, so a truncated view of a run is always visible as such.
+//! ## One block per simulated cell
+//!
+//! [`Executor::simulate`](crate::executor::Executor::simulate) is the one path
+//! every cell simulation takes. While a sink is installed it arms the worker
+//! thread, runs the kernel, and appends the run's events as one contiguous
+//! block with a single write. Blocks land in grid order with one worker and in
+//! completion order with more, so readers that need a canonical order group
+//! the records by cell. A run that fails (a panic or a watchdog timeout)
+//! writes nothing: the log holds exactly the events of the runs that produced
+//! a result, and none are ever dropped.
 
 use crate::store::{self, StoreKey};
-use flywheel_uarch::telemetry::{
-    self, TelemetryEvent, TelemetryGuard, TelemetryQueue, TelemetrySession,
-};
-use std::io::Write;
+use flywheel_uarch::telemetry::{self, TelemetryEvent};
+use std::collections::HashMap;
+use std::fmt::Write as _;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// On-disk schema of the telemetry event log.
 pub const TELEMETRY_SCHEMA: &str = "flywheel-telemetry/1";
-
-/// Default bound of the in-memory event queue.
-pub const DEFAULT_QUEUE_CAPACITY: usize = TelemetryQueue::DEFAULT_CAPACITY;
 
 /// The conventional event-log path for a store at `store_path`:
 /// `<store>.events`, beside the store itself.
@@ -79,10 +80,9 @@ impl TelemetryRecord {
 /// Everything a telemetry event log contained.
 #[derive(Debug, Default)]
 pub struct TelemetryLog {
-    /// Every event record, in file (≈ drain) order.
+    /// Every event record, in file order (one contiguous block per simulated
+    /// cell).
     pub records: Vec<TelemetryRecord>,
-    /// Sum of the log's `dropped <n>` accounting lines.
-    pub dropped: u64,
     /// Lines that failed the framing or payload grammar.
     pub damaged_lines: usize,
 }
@@ -107,18 +107,7 @@ impl TelemetryLog {
             if line.is_empty() {
                 continue;
             }
-            let Some(payload) = store::unframe_line(line) else {
-                log.damaged_lines += 1;
-                continue;
-            };
-            if let Some(n) = payload.strip_prefix("dropped ") {
-                match n.parse::<u64>() {
-                    Ok(n) => log.dropped += n,
-                    Err(_) => log.damaged_lines += 1,
-                }
-                continue;
-            }
-            match TelemetryRecord::parse(payload) {
+            match store::unframe_line(line).and_then(TelemetryRecord::parse) {
                 Some(r) => log.records.push(r),
                 None => log.damaged_lines += 1,
             }
@@ -135,168 +124,151 @@ impl TelemetryLog {
     pub fn describe(&self) -> String {
         if self.damaged_lines == 0 {
             format!(
-                "clean ({} events, {} dropped, schema {TELEMETRY_SCHEMA})",
-                self.records.len(),
-                self.dropped
+                "clean ({} events, schema {TELEMETRY_SCHEMA})",
+                self.records.len()
             )
         } else {
             format!(
-                "damaged: {} bad line{} ({} events readable, {} dropped)",
+                "damaged: {} bad line{} ({} events readable)",
                 self.damaged_lines,
                 if self.damaged_lines == 1 { "" } else { "s" },
-                self.records.len(),
-                self.dropped
+                self.records.len()
             )
         }
     }
 }
 
-/// The process-global telemetry sink: queue + drain thread + log path.
+/// The process-global telemetry sink: the open log and what went into it.
 struct GlobalSink {
-    queue: Arc<TelemetryQueue>,
-    sample_interval: u64,
+    file: std::fs::File,
     path: PathBuf,
-    stop: Arc<AtomicBool>,
-    drain: Option<std::thread::JoinHandle<u64>>,
+    /// Events written to the log.
+    events: u64,
+    /// Events written per cell key (the scenario tables' `telemetry_events`
+    /// column).
+    cell_events: HashMap<StoreKey, u64>,
 }
 
-static INSTALLED: AtomicBool = AtomicBool::new(false);
+/// The installed sink's sample interval; 0 while no sink is installed, so
+/// the disarmed path of [`record_cell`] is one atomic load.
+static SAMPLE_INTERVAL: AtomicU64 = AtomicU64::new(0);
 
-fn global_sink() -> &'static Mutex<Option<GlobalSink>> {
+fn global_sink() -> MutexGuard<'static, Option<GlobalSink>> {
     static SINK: Mutex<Option<GlobalSink>> = Mutex::new(None);
-    &SINK
+    SINK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// What a finished telemetry sink flushed to disk.
+/// What a finished telemetry sink wrote to disk.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TelemetrySummary {
     /// Events written to the log.
     pub events: u64,
-    /// Events dropped by the bounded queue (also recorded in the log).
+    /// Always 0: every finished run's events are written, so none are
+    /// dropped. Kept because the perfbench harness reports it.
     pub dropped: u64,
     /// The log path.
     pub path: PathBuf,
 }
 
 /// Installs the process-global telemetry sink: creates the event log at
-/// `path` (truncating any previous run's log) and starts the drain thread.
-/// Simulations run after this — on any thread — are recorded.
+/// `path` (truncating any previous run's log). Simulations run after this —
+/// on any thread — are recorded.
 ///
 /// Errors if a sink is already installed or the log cannot be created.
 pub fn install_global_telemetry(path: &Path, sample_interval: u64) -> Result<(), String> {
-    let mut slot = global_sink().lock().unwrap_or_else(PoisonError::into_inner);
+    let mut slot = global_sink();
     if slot.is_some() {
         return Err("telemetry sink already installed".to_owned());
     }
     let mut file = std::fs::File::create(path)
         .map_err(|e| format!("creating event log {}: {e}", path.display()))?;
     file.write_all(format!("{TELEMETRY_SCHEMA}\n").as_bytes())
-        .and_then(|()| file.flush())
         .map_err(|e| format!("writing event log {}: {e}", path.display()))?;
-
-    let queue = Arc::new(TelemetryQueue::new(DEFAULT_QUEUE_CAPACITY));
-    let stop = Arc::new(AtomicBool::new(false));
-    let drain = {
-        let queue = Arc::clone(&queue);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || drain_loop(&queue, &stop, file))
-    };
     *slot = Some(GlobalSink {
-        queue,
-        sample_interval: sample_interval.max(1),
+        file,
         path: path.to_path_buf(),
-        stop,
-        drain: Some(drain),
+        events: 0,
+        cell_events: HashMap::new(),
     });
-    INSTALLED.store(true, Ordering::Release);
+    SAMPLE_INTERVAL.store(sample_interval.max(1), Ordering::Release);
     Ok(())
 }
 
-/// The drain thread: periodically empties the queue into the log file; on
-/// shutdown takes a final drain and writes the drop-accounting line. Returns
-/// the number of events written.
-fn drain_loop(queue: &TelemetryQueue, stop: &AtomicBool, mut file: std::fs::File) -> u64 {
-    let mut written = 0u64;
-    loop {
-        let stopping = stop.load(Ordering::Acquire);
-        for (tag, event) in queue.drain() {
-            // The tag is "<key-hex> <label>"; the payload appends the event.
-            let payload = format!("{tag} {}", event.render());
-            let _ = writeln!(file, "{}", store::frame_payload(&payload));
-            written += 1;
-        }
-        let _ = file.flush();
-        if stopping {
-            let dropped = queue.dropped();
-            if dropped > 0 {
-                let _ = writeln!(
-                    file,
-                    "{}",
-                    store::frame_payload(&format!("dropped {dropped}"))
-                );
-            }
-            let _ = file.flush();
-            return written;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
-/// Whether a global telemetry sink is installed (one relaxed atomic load —
-/// the disarmed fast path of the simulation choke points).
+/// Whether a global telemetry sink is installed (one atomic load — the
+/// disarmed fast path of the simulation choke point).
 pub fn telemetry_installed() -> bool {
-    INSTALLED.load(Ordering::Acquire)
+    SAMPLE_INTERVAL.load(Ordering::Acquire) != 0
 }
 
-/// Stops the drain thread, flushes everything (including the `dropped` line)
-/// and uninstalls the sink. `None` when no sink was installed.
+/// Uninstalls the sink and reports what it wrote. `None` when no sink was
+/// installed.
 pub fn finish_global_telemetry() -> Option<TelemetrySummary> {
     let sink = {
-        let mut slot = global_sink().lock().unwrap_or_else(PoisonError::into_inner);
-        INSTALLED.store(false, Ordering::Release);
+        let mut slot = global_sink();
+        SAMPLE_INTERVAL.store(0, Ordering::Release);
         slot.take()
     }?;
-    sink.stop.store(true, Ordering::Release);
-    let events = sink
-        .drain
-        .map(|h| h.join().unwrap_or_default())
-        .unwrap_or_default();
     Some(TelemetrySummary {
-        events,
-        dropped: sink.queue.dropped(),
+        events: sink.events,
+        dropped: 0,
         path: sink.path,
     })
 }
 
-/// Events accepted so far for tags starting with `prefix` (normally a cell's
-/// store-key hex). Zero when no sink is installed.
-pub fn telemetry_count_matching(prefix: &str) -> u64 {
-    let slot = global_sink().lock().unwrap_or_else(PoisonError::into_inner);
-    slot.as_ref()
-        .map(|s| s.queue.count_matching(prefix))
+/// Events the installed sink has logged for the cell at `key`, over every
+/// run of that cell since installation. Zero when no sink is installed.
+pub fn logged_events(key: &StoreKey) -> u64 {
+    global_sink()
+        .as_ref()
+        .and_then(|sink| sink.cell_events.get(key).copied())
         .unwrap_or(0)
 }
 
-/// Arms the current thread's telemetry for one cell when a global sink is
-/// installed; `tag_parts` (the cell's store key and label) is only computed
-/// on the armed path. Called by the simulation choke points in the crate
-/// root.
-pub(crate) fn arm_cell(tag_parts: impl FnOnce() -> (StoreKey, String)) -> Option<TelemetryGuard> {
-    if !telemetry_installed() {
-        return None;
+/// Runs one cell's simulation `run`. While a sink is installed the thread is
+/// armed for it, and the events of a run that returns are appended to the
+/// log as one block under the cell's store key and label (`cell`, computed
+/// only on this path). A run that panics writes nothing.
+pub(crate) fn record_cell<T>(
+    cell: impl FnOnce() -> (StoreKey, String),
+    run: impl FnOnce() -> T,
+) -> T {
+    let sample_interval = SAMPLE_INTERVAL.load(Ordering::Acquire);
+    if sample_interval == 0 {
+        return run();
     }
-    let (queue, sample_interval) = {
-        let slot = global_sink().lock().unwrap_or_else(PoisonError::into_inner);
-        let sink = slot.as_ref()?;
-        (Arc::clone(&sink.queue), sink.sample_interval)
+    let armed = telemetry::arm(sample_interval);
+    let out = run();
+    let events = armed.take_events();
+    drop(armed);
+    let (key, label) = cell();
+    append_block(key, &label, &events);
+    out
+}
+
+/// Formats one cell's events outside the lock, then appends them with a
+/// single write under it, so the block lands contiguously.
+fn append_block(key: StoreKey, label: &str, events: &[TelemetryEvent]) {
+    let prefix = format!("{} {label} ", key.hex());
+    let mut block = String::new();
+    for event in events {
+        let payload = format!("{prefix}{}", event.render());
+        let _ = writeln!(block, "{}", store::frame_payload(&payload));
+    }
+    let mut slot = global_sink();
+    let Some(sink) = slot.as_mut() else {
+        return;
     };
-    let (key, label) = tag_parts();
-    let tag: Arc<str> = Arc::from(format!("{} {label}", key.hex()));
-    Some(telemetry::arm(TelemetrySession {
-        queue,
-        tag,
-        sample_interval,
-    }))
+    match sink.file.write_all(block.as_bytes()) {
+        Ok(()) => {
+            let n = events.len() as u64;
+            sink.events += n;
+            *sink.cell_events.entry(key).or_default() += n;
+        }
+        Err(e) => eprintln!(
+            "warning: could not append to event log {}: {e}",
+            sink.path.display()
+        ),
+    }
 }
 
 /// Folds per-shard event logs (written by supervised sweep workers) into the
@@ -312,7 +284,7 @@ pub fn merge_telemetry_logs(main_path: &Path, shard_paths: &[PathBuf]) -> Result
             Err(_) if !shard.exists() => continue,
             Err(e) => return Err(e),
         };
-        if log.records.is_empty() && log.dropped == 0 {
+        if log.records.is_empty() {
             continue;
         }
         let out = match &mut out {
@@ -335,14 +307,6 @@ pub fn merge_telemetry_logs(main_path: &Path, shard_paths: &[PathBuf]) -> Result
             writeln!(out, "{}", store::frame_payload(&r.render()))
                 .map_err(|e| format!("writing {}: {e}", main_path.display()))?;
             appended += 1;
-        }
-        if log.dropped > 0 {
-            writeln!(
-                out,
-                "{}",
-                store::frame_payload(&format!("dropped {}", log.dropped))
-            )
-            .map_err(|e| format!("writing {}: {e}", main_path.display()))?;
         }
     }
     if let Some(f) = &mut out {
@@ -389,21 +353,16 @@ mod tests {
     }
 
     #[test]
-    fn log_reader_detects_damage_and_sums_drops() {
+    fn log_reader_detects_damage() {
         let path = tmp("reader.events");
         let mut text = format!("{TELEMETRY_SCHEMA}\n");
         text.push_str(&store::frame_payload(&sample_record("a", 10).render()));
-        text.push('\n');
-        text.push_str(&store::frame_payload("dropped 3"));
-        text.push('\n');
-        text.push_str(&store::frame_payload("dropped 4"));
         text.push('\n');
         text.push_str("00000005 deadbeef torn!");
         text.push('\n');
         std::fs::write(&path, text).unwrap();
         let log = TelemetryLog::read(&path).unwrap();
         assert_eq!(log.records.len(), 1);
-        assert_eq!(log.dropped, 7);
         assert_eq!(log.damaged_lines, 1);
         assert!(log.describe().starts_with("damaged: 1 bad line"));
         std::fs::remove_file(&path).unwrap();
@@ -419,7 +378,7 @@ mod tests {
         let main = tmp("merged.events");
         let _ = std::fs::remove_file(&main);
         let shards: Vec<PathBuf> = (0..3).map(|k| tmp(&format!("shard{k}.events"))).collect();
-        // Shard 0: one record. Shard 1: missing. Shard 2: record + drops.
+        // Shards 0 and 2: one record each. Shard 1: missing.
         for (k, path) in shards.iter().enumerate() {
             if k == 1 {
                 continue;
@@ -429,17 +388,12 @@ mod tests {
                 &sample_record(&format!("cell{k}"), k as u64).render(),
             ));
             text.push('\n');
-            if k == 2 {
-                text.push_str(&store::frame_payload("dropped 2"));
-                text.push('\n');
-            }
             std::fs::write(path, text).unwrap();
         }
         let appended = merge_telemetry_logs(&main, &shards).unwrap();
         assert_eq!(appended, 2);
         let log = TelemetryLog::read(&main).unwrap();
         assert_eq!(log.records.len(), 2);
-        assert_eq!(log.dropped, 2);
         assert_eq!(log.damaged_lines, 0);
         assert!(log.describe().starts_with("clean (2 events"));
         for p in shards.iter().chain([&main]) {

@@ -27,13 +27,14 @@
 
 use flywheel_bench::scenario::{CellResult, Machine, Scenario, ScenarioRun};
 use flywheel_bench::stats::Aggregate;
-use flywheel_bench::store::{ResultStore, StoreSummary};
+use flywheel_bench::store::{ResultStore, StoreKey, StoreSummary};
 use flywheel_bench::telemetry::TelemetryLog;
 use flywheel_bench::EXPERIMENT_SEED;
 use flywheel_timing::TechNode;
 use flywheel_uarch::telemetry::{ClockDomain, TelemetryEvent};
 use flywheel_uarch::{SimBudget, SimResult};
 use flywheel_workloads::Benchmark;
+use std::collections::BTreeMap;
 
 /// The marker opening the generated section of EXPERIMENTS.md.
 pub const BLOCK_BEGIN: &str = "<!-- flywheel-report:begin -->";
@@ -450,11 +451,11 @@ pub fn degraded_cells_section(scenario_json: &str) -> Result<String, String> {
 }
 
 /// Per-cell accumulation behind [`telemetry_section`].
+#[derive(Default)]
 struct CellTelemetry {
-    label: String,
-    key_hex: String,
     events: u64,
-    /// ROB occupancy per sample, in drain order (the sparkline's raw data).
+    /// ROB occupancy per sample, in recording order (the sparkline's raw
+    /// data).
     rob_samples: Vec<u32>,
     /// Closed (and one possibly-open) Execution-Cache intervals, back-end
     /// cycles: `(enter, Some(exit))` or `(enter, None)` when the run ended
@@ -467,20 +468,6 @@ struct CellTelemetry {
 }
 
 impl CellTelemetry {
-    fn new(label: &str, key_hex: &str) -> CellTelemetry {
-        CellTelemetry {
-            label: label.to_owned(),
-            key_hex: key_hex.to_owned(),
-            events: 0,
-            rob_samples: Vec::new(),
-            ec_intervals: Vec::new(),
-            open_enter: None,
-            gated_fe_cycles: 0,
-            pool_stalls: 0,
-            last_be_cycle: 0,
-        }
-    }
-
     fn feed(&mut self, event: &TelemetryEvent) {
         self.events += 1;
         match *event {
@@ -577,7 +564,8 @@ fn sparkline(values: &[u32], width: usize) -> String {
 /// `flywheel-telemetry/1` event log: a per-cell summary table (event counts,
 /// ROB occupancy, Execution-Cache residency, gating, pool stalls) followed by
 /// per-cell EC-residency timelines and ROB-occupancy sparklines. Cells appear
-/// in first-event order, which is drain (≈ execution) order.
+/// in (label, key) order, so a log renders the same whichever worker or
+/// shard order its cell blocks were written in.
 pub fn telemetry_section(log: &TelemetryLog) -> String {
     let mut out = String::new();
     out.push_str("\n## Kernel telemetry\n\n");
@@ -586,14 +574,6 @@ pub fn telemetry_section(log: &TelemetryLog) -> String {
          ARCHITECTURE.md). Log verdict: {}.\n",
         log.describe()
     ));
-    if log.dropped > 0 {
-        out.push_str(&format!(
-            "\n**Note**: the bounded event queue dropped {} event{}; the timelines\n\
-             below are a truncated (but honestly accounted) view of the run.\n",
-            log.dropped,
-            if log.dropped == 1 { "" } else { "s" },
-        ));
-    }
     if log.records.is_empty() {
         out.push_str(
             "\nThe log contains no events — telemetry was armed but every cell was\n\
@@ -602,23 +582,12 @@ pub fn telemetry_section(log: &TelemetryLog) -> String {
         return out;
     }
 
-    // Group by (key, label) in first-event order.
-    let mut cells: Vec<CellTelemetry> = Vec::new();
+    // Group by cell, in canonical (label, key) order.
+    let mut cells: BTreeMap<(&str, StoreKey), CellTelemetry> = BTreeMap::new();
     for r in &log.records {
-        let key_hex = r.key.hex();
-        let cell = match cells
-            .iter_mut()
-            .find(|c| c.label == r.label && c.key_hex == key_hex)
-        {
-            Some(c) => c,
-            None => {
-                cells.push(CellTelemetry::new(&r.label, &key_hex));
-                cells.last_mut().expect("just pushed")
-            }
-        };
-        cell.feed(&r.event);
+        cells.entry((&r.label, r.key)).or_default().feed(&r.event);
     }
-    for c in &mut cells {
+    for c in cells.values_mut() {
         c.finish();
     }
 
@@ -626,7 +595,7 @@ pub fn telemetry_section(log: &TelemetryLog) -> String {
         "\n| cell | events | occ samples | ROB mean/max | EC visits | EC-resident be-cycles | gated fe-cycles | pool stalls |\n\
          |------|-------:|------------:|-------------:|----------:|----------------------:|----------------:|------------:|\n",
     );
-    for c in &cells {
+    for ((label, _), c) in &cells {
         let (rob_mean, rob_max) = if c.rob_samples.is_empty() {
             (0, 0)
         } else {
@@ -637,8 +606,7 @@ pub fn telemetry_section(log: &TelemetryLog) -> String {
             )
         };
         out.push_str(&format!(
-            "| `{}` | {} | {} | {rob_mean}/{rob_max} | {} | {} | {} | {} |\n",
-            c.label,
+            "| `{label}` | {} | {} | {rob_mean}/{rob_max} | {} | {} | {} | {} |\n",
             c.events,
             c.rob_samples.len(),
             c.ec_visits(),
@@ -652,8 +620,8 @@ pub fn telemetry_section(log: &TelemetryLog) -> String {
         "\nPer-cell timelines (Execution-Cache residency as `[enter, exit)` back-end\n\
          cycle intervals; ROB occupancy as a time-ordered sparkline):\n\n",
     );
-    for c in &cells {
-        out.push_str(&format!("- `{}` (key `{}…`)\n", c.label, &c.key_hex[..8]));
+    for ((label, key), c) in &cells {
+        out.push_str(&format!("- `{label}` (key `{}…`)\n", &key.hex()[..8]));
         out.push_str(&format!("  - EC residency: {}\n", c.ec_timeline()));
         if !c.rob_samples.is_empty() {
             out.push_str(&format!(
@@ -882,13 +850,11 @@ mod tests {
         });
         let log = TelemetryLog {
             records,
-            dropped: 2,
             damaged_lines: 0,
         };
         let section = telemetry_section(&log);
         assert!(section.contains("## Kernel telemetry"), "{section}");
-        assert!(section.contains("clean (8 events, 2 dropped"), "{section}");
-        assert!(section.contains("dropped 2 events"), "{section}");
+        assert!(section.contains("clean (8 events"), "{section}");
         // Cell A: 7 events, 2 occ samples, ROB mean 20 max 30, 2 EC visits,
         // resident (300-100) + (500-500 → last cycle 500) = 200, gated 80,
         // 17 aggregated pool stalls.
@@ -901,11 +867,13 @@ mod tests {
             "{section}"
         );
         assert!(section.contains("(2 samples)"), "{section}");
-        // Cell B renders its own row, in first-event order after cell A.
+        // Cell B renders its own row, in (label, key) order before cell A.
         assert!(
             section.contains("| `baseline/gzip/s2005` | 1 | 1 | 5/5 | 0 | 0 | 0 | 0 |"),
             "{section}"
         );
+        let row = |label: &str| section.find(&format!("| `{label}` |")).unwrap();
+        assert!(row("baseline/gzip/s2005") < row("flywheel/gzip/s2005"));
         assert!(
             section.contains("- EC residency: never entered"),
             "{section}"
@@ -916,7 +884,7 @@ mod tests {
     fn telemetry_section_handles_an_empty_log() {
         let log = TelemetryLog::default();
         let section = telemetry_section(&log);
-        assert!(section.contains("clean (0 events, 0 dropped"), "{section}");
+        assert!(section.contains("clean (0 events"), "{section}");
         assert!(section.contains("contains no events"), "{section}");
         assert!(!section.contains("| cell |"), "{section}");
     }

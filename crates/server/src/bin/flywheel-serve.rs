@@ -61,7 +61,7 @@ fn usage() -> ! {
            --stall-timeout-ms MS   heartbeat stall kill threshold (default 10000)\n\
            --deadline-ms MS        per-incarnation wall budget (default 120000)\n\
            --faults SPEC           fault-injection plan forwarded to workers\n\
-           --telemetry PATH        arm kernel telemetry per sweep; workers drain into\n\
+           --telemetry PATH        arm kernel telemetry per sweep; workers write to\n\
                                    per-shard event logs merged at PATH (jobs can opt\n\
                                    out with telemetry=off in the POST /sweep body)\n\
          \n\

@@ -1,28 +1,21 @@
-//! Bounded, lock-light microarchitectural telemetry: typed events both
-//! simulator kernels append to an in-memory queue — but only when armed.
+//! Microarchitectural telemetry: typed events both simulator kernels record
+//! into a per-run buffer — but only when armed.
 //!
-//! The design mirrors [`crate::watchdog`]: a sweep executor arms a
-//! [`TelemetrySession`] on the worker thread before running a cell; the
-//! kernels snapshot the armed session once at the top of `run()`
-//! ([`armed`]) into a [`TelemetryRecorder`] and feed it from their step
-//! loops. Cost when disarmed (every non-telemetry caller): one thread-local
-//! read per kernel `run()`, zero work per simulated cycle — which is what
-//! keeps telemetry-off runs byte-identical to the golden transcript and
-//! within noise of the committed throughput numbers.
-//!
-//! The queue itself ([`TelemetryQueue`]) is bounded: a full queue increments
-//! an explicit dropped-events counter instead of growing. Its lock is only
-//! held briefly (the drain swaps the buffer out), so `push` waits for it
-//! rather than dropping on contention. A background drain thread (owned by
-//! `flywheel-bench`, which also owns the on-disk event log) empties the
-//! queue concurrently.
+//! The design mirrors [`crate::watchdog`]: a sweep executor [`arm`]s the
+//! worker thread with a sample interval before running a cell; the kernels
+//! take a [`TelemetryRecorder`] once at the top of `run()` ([`armed`]) and
+//! feed it from their step loops. The recorder owns the run's event buffer
+//! and hands it to the thread's armed slot in [`TelemetryRecorder::finish`],
+//! where the executor collects it ([`TelemetryGuard::take_events`]). A run
+//! that panics (a simulator bug, a watchdog timeout) never reaches `finish`,
+//! so a failed attempt leaves no events behind, and nothing is ever dropped.
+//! Cost when disarmed (every non-telemetry caller): one thread-local read per
+//! kernel `run()`, zero work per simulated cycle — which is what keeps
+//! telemetry-off runs byte-identical to the golden transcript and within
+//! noise of the committed throughput numbers.
 //!
 //! Telemetry is observational only: a recorder reads kernel state and never
 //! writes it, so armed and disarmed runs simulate identical machines.
-
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// Clock domain a gating interval belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,8 +72,8 @@ pub enum TelemetryEvent {
         be_cycle: u64,
     },
     /// Dispatch stalls on an exhausted rename/register pool, aggregated over
-    /// one sample interval (per-cycle stall events would flood the bounded
-    /// queue on pool-starved workloads).
+    /// one sample interval (per-cycle stall events would flood the log on
+    /// pool-starved workloads).
     PoolStall {
         /// Back-end cycle the aggregate was flushed at.
         be_cycle: u64,
@@ -160,128 +153,54 @@ impl TelemetryEvent {
     }
 }
 
-/// Interior state of a [`TelemetryQueue`], behind its single mutex.
-struct QueueInner {
-    events: VecDeque<(Arc<str>, TelemetryEvent)>,
-    /// Events accepted per tag, kept across drains so cell columns can be
-    /// filled in after the queue has been flushed to disk.
-    counts: HashMap<Arc<str>, u64>,
-}
-
-/// A bounded multi-producer event queue.
-///
-/// When the queue is at capacity, `push` counts the event as dropped and the
-/// simulating thread moves on immediately. Lock holders only do brief,
-/// bounded work, so waiting for the lock is never a reason to drop.
-pub struct TelemetryQueue {
-    capacity: usize,
-    inner: Mutex<QueueInner>,
-    accepted: AtomicU64,
-    dropped: AtomicU64,
-}
-
-impl TelemetryQueue {
-    /// Default queue bound (events, across all producer threads).
-    pub const DEFAULT_CAPACITY: usize = 1 << 16;
-
-    /// Creates a queue bounded at `capacity` events.
-    pub fn new(capacity: usize) -> Self {
-        TelemetryQueue {
-            capacity: capacity.max(1),
-            inner: Mutex::new(QueueInner {
-                events: VecDeque::new(),
-                counts: HashMap::new(),
-            }),
-            accepted: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// Appends one event under `tag`. A full queue drops the event and bumps
-    /// the counter.
-    pub fn push(&self, tag: &Arc<str>, event: TelemetryEvent) {
-        match self.inner.lock() {
-            Ok(mut inner) => {
-                if inner.events.len() >= self.capacity {
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                inner.events.push_back((Arc::clone(tag), event));
-                *inner.counts.entry(Arc::clone(tag)).or_insert(0) += 1;
-                self.accepted.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Takes every queued event (used by the drain thread), swapping the
-    /// buffer out so the lock is only held briefly.
-    pub fn drain(&self) -> VecDeque<(Arc<str>, TelemetryEvent)> {
-        match self.inner.lock() {
-            Ok(mut inner) => std::mem::take(&mut inner.events),
-            Err(_) => VecDeque::new(),
-        }
-    }
-
-    /// Events accepted so far under tags starting with `prefix` (drained or
-    /// not) — the per-cell count surfaced in scenario tables.
-    pub fn count_matching(&self, prefix: &str) -> u64 {
-        match self.inner.lock() {
-            Ok(inner) => inner
-                .counts
-                .iter()
-                .filter(|(tag, _)| tag.starts_with(prefix))
-                .map(|(_, n)| *n)
-                .sum(),
-            Err(_) => 0,
-        }
-    }
-
-    /// Total events accepted into the queue.
-    pub fn accepted(&self) -> u64 {
-        self.accepted.load(Ordering::Relaxed)
-    }
-
-    /// Total events dropped (queue full, or its lock poisoned by a panic).
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-}
-
-/// What a worker thread arms before running a cell: where events go, under
-/// which tag, and how densely occupancy is sampled.
-#[derive(Clone)]
-pub struct TelemetrySession {
-    /// Destination queue (shared with the drain thread).
-    pub queue: Arc<TelemetryQueue>,
-    /// Opaque cell tag every event is attributed to (the bench layer uses
-    /// `"<store-key-hex> <cell-label>"`, making the log content-addressed).
-    pub tag: Arc<str>,
-    /// Back-end cycles between occupancy samples.
-    pub sample_interval: u64,
-}
-
 /// Default back-end cycles between occupancy samples.
 pub const DEFAULT_SAMPLE_INTERVAL: u64 = 1024;
 
+/// What a worker thread has armed: the sample interval, and the events of
+/// the runs that finished since it was armed.
+struct Armed {
+    sample_interval: u64,
+    events: Vec<TelemetryEvent>,
+}
+
 thread_local! {
-    static ARMED: std::cell::RefCell<Option<TelemetrySession>> =
+    static ARMED: std::cell::RefCell<Option<Armed>> =
         const { std::cell::RefCell::new(None) };
 }
 
-/// Arms telemetry for the current thread until the returned guard drops.
+/// Arms telemetry for the current thread until the returned guard drops:
+/// every kernel run on this thread records occupancy every
+/// `sample_interval` back-end cycles, plus its mode edges and stalls.
 ///
-/// Nested arms are allowed; the guard restores the previous session.
-pub fn arm(session: TelemetrySession) -> TelemetryGuard {
-    let prev = ARMED.with(|a| a.replace(Some(session)));
+/// Nested arms are allowed; the guard restores the previous arming, events
+/// included.
+pub fn arm(sample_interval: u64) -> TelemetryGuard {
+    let prev = ARMED.with(|a| {
+        a.replace(Some(Armed {
+            sample_interval,
+            events: Vec::new(),
+        }))
+    });
     TelemetryGuard { prev }
 }
 
 /// Disarms telemetry when dropped, restoring whatever was armed before.
 pub struct TelemetryGuard {
-    prev: Option<TelemetrySession>,
+    prev: Option<Armed>,
+}
+
+impl TelemetryGuard {
+    /// Takes the events of every run that finished on this thread since it
+    /// was armed (or since the previous take), in recording order. A run
+    /// that panicked contributes nothing.
+    pub fn take_events(&self) -> Vec<TelemetryEvent> {
+        ARMED.with(|a| {
+            a.borrow_mut()
+                .as_mut()
+                .map(|armed| std::mem::take(&mut armed.events))
+                .unwrap_or_default()
+        })
+    }
 }
 
 impl Drop for TelemetryGuard {
@@ -290,26 +209,28 @@ impl Drop for TelemetryGuard {
     }
 }
 
-/// Snapshots the armed session into a per-run recorder, or `None` when the
+/// A fresh per-run recorder at the armed sample interval, or `None` when the
 /// thread has no telemetry armed (the common case).
 pub fn armed() -> Option<TelemetryRecorder> {
-    ARMED.with(|a| a.borrow().clone()).map(|session| {
-        let first_sample = session.sample_interval;
-        TelemetryRecorder {
-            session,
-            next_sample: first_sample,
-            gated_fe_start: None,
-            pending_stalls: 0,
-            next_stall_flush: first_sample,
-        }
+    let sample_interval = ARMED.with(|a| a.borrow().as_ref().map(|armed| armed.sample_interval))?;
+    Some(TelemetryRecorder {
+        sample_interval,
+        events: Vec::new(),
+        next_sample: sample_interval,
+        gated_fe_start: None,
+        pending_stalls: 0,
+        next_stall_flush: sample_interval,
     })
 }
 
-/// Per-run recorder a kernel holds for the duration of one `run()`.
+/// Per-run recorder a kernel holds for the duration of one `run()`: it owns
+/// the run's event buffer and hands it to the thread's armed slot in
+/// [`TelemetryRecorder::finish`].
 ///
 /// All methods observe; none mutate simulator state.
 pub struct TelemetryRecorder {
-    session: TelemetrySession,
+    sample_interval: u64,
+    events: Vec<TelemetryEvent>,
     next_sample: u64,
     /// Front-end cycle at which the current Execution-Cache (gated) interval
     /// began, when the kernel is in EC mode.
@@ -320,10 +241,6 @@ pub struct TelemetryRecorder {
 }
 
 impl TelemetryRecorder {
-    fn push(&self, event: TelemetryEvent) {
-        self.session.queue.push(&self.session.tag, event);
-    }
-
     /// Emits an occupancy sample when `be_cycle` has reached the next sample
     /// point; robust to bulk cycle skips (`fast_forward`), which simply land
     /// the next sample at the first poll past the interval.
@@ -339,9 +256,9 @@ impl TelemetryRecorder {
         if be_cycle < self.next_sample {
             return;
         }
-        self.next_sample = be_cycle.saturating_add(self.session.sample_interval);
+        self.next_sample = be_cycle.saturating_add(self.sample_interval);
         let clamp = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
-        self.push(TelemetryEvent::Occupancy {
+        self.events.push(TelemetryEvent::Occupancy {
             be_cycle,
             iw: clamp(iw),
             rob: clamp(rob),
@@ -356,12 +273,12 @@ impl TelemetryRecorder {
     /// the EC residency implied.
     pub fn mode_edge(&mut self, executing: bool, be_cycle: u64, fe_cycle: u64) {
         if executing {
-            self.push(TelemetryEvent::EcEnter { be_cycle });
+            self.events.push(TelemetryEvent::EcEnter { be_cycle });
             self.gated_fe_start = Some(fe_cycle);
         } else {
-            self.push(TelemetryEvent::EcExit { be_cycle });
+            self.events.push(TelemetryEvent::EcExit { be_cycle });
             if let Some(start) = self.gated_fe_start.take() {
-                self.push(TelemetryEvent::GatedInterval {
+                self.events.push(TelemetryEvent::GatedInterval {
                     domain: ClockDomain::FrontEnd,
                     start_cycle: start,
                     cycles: fe_cycle.saturating_sub(start),
@@ -373,8 +290,7 @@ impl TelemetryRecorder {
     /// Accounts `n` new pool-exhaustion dispatch stalls observed since the
     /// previous poll. Stalls are aggregated and flushed as one counted event
     /// per sample interval: a pool-starved workload can stall on most cycles,
-    /// and per-cycle events would overwhelm the bounded queue (the drops
-    /// would be honest, but the timeline would be noise).
+    /// and per-cycle events would bury the timeline in noise.
     pub fn pool_stalls(&mut self, be_cycle: u64, n: u64) {
         self.pending_stalls += n;
         if be_cycle >= self.next_stall_flush {
@@ -384,29 +300,35 @@ impl TelemetryRecorder {
 
     fn flush_stalls(&mut self, be_cycle: u64) {
         if self.pending_stalls > 0 {
-            self.push(TelemetryEvent::PoolStall {
+            self.events.push(TelemetryEvent::PoolStall {
                 be_cycle,
                 stalls: self.pending_stalls,
             });
             self.pending_stalls = 0;
         }
-        self.next_stall_flush = be_cycle.saturating_add(self.session.sample_interval);
+        self.next_stall_flush = be_cycle.saturating_add(self.sample_interval);
     }
 
-    /// Flushes state that only resolves at end of run: pending pool-stall
+    /// Flushes state that only resolves at end of run (pending pool-stall
     /// aggregates, and a trailing gated interval when the kernel finished
-    /// while still in EC mode.
+    /// while still in EC mode), then hands the run's events to the thread's
+    /// armed slot.
     pub fn finish(&mut self, be_cycle: u64, fe_cycle: u64) {
         if self.pending_stalls > 0 {
             self.flush_stalls(be_cycle);
         }
         if let Some(start) = self.gated_fe_start.take() {
-            self.push(TelemetryEvent::GatedInterval {
+            self.events.push(TelemetryEvent::GatedInterval {
                 domain: ClockDomain::FrontEnd,
                 start_cycle: start,
                 cycles: fe_cycle.saturating_sub(start),
             });
         }
+        ARMED.with(|a| {
+            if let Some(armed) = a.borrow_mut().as_mut() {
+                armed.events.append(&mut self.events);
+            }
+        });
     }
 }
 
@@ -414,12 +336,11 @@ impl TelemetryRecorder {
 mod tests {
     use super::*;
 
-    fn session(queue: &Arc<TelemetryQueue>, tag: &str, interval: u64) -> TelemetrySession {
-        TelemetrySession {
-            queue: Arc::clone(queue),
-            tag: Arc::from(tag),
-            sample_interval: interval,
-        }
+    /// One run on the armed thread that records a single occupancy sample.
+    fn record_one_sample(rob: usize) {
+        let mut rec = armed().unwrap();
+        rec.sample_occupancy(1, rob, rob, rob, rob);
+        rec.finish(1, 0);
     }
 
     #[test]
@@ -429,32 +350,32 @@ mod tests {
 
     #[test]
     fn guard_restores_previous_session() {
-        let q = Arc::new(TelemetryQueue::new(16));
         {
-            let _outer = arm(session(&q, "outer", 1));
+            let outer = arm(1);
             {
-                let _inner = arm(session(&q, "inner", 1));
-                armed().unwrap().sample_occupancy(1, 1, 1, 1, 1);
+                let inner = arm(1);
+                record_one_sample(1);
+                assert_eq!(inner.take_events().len(), 1);
             }
-            armed().unwrap().sample_occupancy(1, 2, 2, 2, 2);
+            record_one_sample(2);
+            assert_eq!(outer.take_events().len(), 1);
         }
         assert!(armed().is_none());
-        assert_eq!(q.count_matching("inner"), 1);
-        assert_eq!(q.count_matching("outer"), 1);
     }
 
     #[test]
-    fn full_queue_drops_instead_of_blocking() {
-        let q = Arc::new(TelemetryQueue::new(2));
-        let tag: Arc<str> = Arc::from("cell");
-        for c in 0..5 {
-            q.push(&tag, TelemetryEvent::EcEnter { be_cycle: c });
-        }
-        assert_eq!(q.accepted(), 2);
-        assert_eq!(q.dropped(), 3);
-        assert_eq!(q.drain().len(), 2);
-        // Counts survive the drain; drops are never counted as accepted.
-        assert_eq!(q.count_matching("cell"), 2);
+    fn a_run_that_never_finishes_hands_back_no_events() {
+        let g = arm(1);
+        let panicked = std::panic::catch_unwind(|| {
+            let mut rec = armed().unwrap();
+            rec.mode_edge(true, 1, 1);
+            rec.sample_occupancy(5, 1, 1, 1, 1);
+            panic!("the run dies before finish");
+        });
+        assert!(panicked.is_err());
+        assert!(g.take_events().is_empty());
+        record_one_sample(3);
+        assert_eq!(g.take_events().len(), 1, "the next run still records");
     }
 
     #[test]
@@ -502,22 +423,22 @@ mod tests {
 
     #[test]
     fn occupancy_sampling_honours_interval_and_bulk_skips() {
-        let q = Arc::new(TelemetryQueue::new(64));
-        let _g = arm(session(&q, "cell", 100));
+        let g = arm(100);
         let mut rec = armed().unwrap();
         for c in 0..250 {
             rec.sample_occupancy(c, 1, 1, 1, 1);
         }
         // Samples at cycles 100 and 200.
-        assert_eq!(q.count_matching("cell"), 2);
+        assert_eq!(rec.events.len(), 2);
         rec.sample_occupancy(10_000, 1, 1, 1, 1); // bulk skip lands one sample
-        assert_eq!(q.count_matching("cell"), 3);
+        assert_eq!(rec.events.len(), 3);
+        rec.finish(10_000, 0);
+        assert_eq!(g.take_events().len(), 3);
     }
 
     #[test]
     fn pool_stalls_aggregate_to_one_counted_event_per_interval() {
-        let q = Arc::new(TelemetryQueue::new(64));
-        let _g = arm(session(&q, "cell", 100));
+        let g = arm(100);
         let mut rec = armed().unwrap();
         // Stall on every cycle of the first interval: ONE event, count 100.
         for c in 0..100 {
@@ -526,7 +447,7 @@ mod tests {
         rec.pool_stalls(100, 1);
         // A stall-free tail leaves nothing pending except the last lone stall.
         rec.finish(250, 0);
-        let events: Vec<_> = q.drain().into_iter().map(|(_, e)| e).collect();
+        let events = g.take_events();
         assert_eq!(
             events,
             vec![TelemetryEvent::PoolStall {
@@ -539,7 +460,7 @@ mod tests {
         let mut rec = armed().unwrap();
         rec.pool_stalls(3, 2);
         rec.finish(9, 0);
-        let events: Vec<_> = q.drain().into_iter().map(|(_, e)| e).collect();
+        let events = g.take_events();
         assert_eq!(
             events,
             vec![TelemetryEvent::PoolStall {
@@ -551,14 +472,13 @@ mod tests {
 
     #[test]
     fn mode_edges_emit_gating_intervals() {
-        let q = Arc::new(TelemetryQueue::new(64));
-        let _g = arm(session(&q, "cell", u64::MAX));
+        let g = arm(u64::MAX);
         let mut rec = armed().unwrap();
         rec.mode_edge(true, 10, 5);
         rec.mode_edge(false, 30, 17);
         rec.mode_edge(true, 40, 20);
         rec.finish(50, 26);
-        let events: Vec<_> = q.drain().into_iter().map(|(_, e)| e).collect();
+        let events = g.take_events();
         assert_eq!(
             events,
             vec![
