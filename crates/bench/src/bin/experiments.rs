@@ -29,10 +29,11 @@
 //!
 //! The simulation sweeps fan out across all cores (`FLYWHEEL_JOBS` caps the
 //! worker count); every cell is an independent deterministic simulation, so the
-//! tables are identical to a serial run. Besides the printed tables, the binary
-//! reports per-experiment wall-clock and simulated-MIPS throughput and writes
-//! them to `BENCH.json` so the performance trajectory of the simulator itself
-//! can be tracked across commits.
+//! tables are identical to a serial run. After each experiment's tables the
+//! binary prints one line with its wall-clock time, simulated instructions and
+//! simulated MIPS (recalled cells count zero). That is a single run's reading;
+//! `python3 perfbench/run.py` measures the simulator's speed with repeated
+//! samples.
 
 use flywheel_bench::scenario::Scenario;
 use flywheel_bench::store::{ResultStore, StoreSummary};
@@ -42,16 +43,12 @@ use flywheel_timing::{CacheGeometry, IssueWindowGeometry, RegFileGeometry};
 use flywheel_uarch::SimBudget;
 use std::time::Instant;
 
-/// Wall-clock and throughput accounting for one experiment.
-struct Report {
-    name: &'static str,
-    wall_s: f64,
-    simulated_instructions: u64,
-    mips: f64,
-    /// True when every cell was answered from the result store — the entry
-    /// then measures recall speed, not simulator throughput, and is excluded
-    /// from the `total` trajectory line so it cannot deflate it.
-    recalled: bool,
+fn usage() -> ! {
+    eprintln!(
+        "usage: experiments [table1|fig1|fig2|fig11|fig12|fig13|fig14|fig15|ec_residency|all] \
+         [measured-insts] [--store PATH] [--telemetry PATH]"
+    );
+    std::process::exit(1);
 }
 
 fn main() {
@@ -74,15 +71,15 @@ fn main() {
             positional.push(arg);
         }
     }
-    let which = positional
-        .first()
-        .map(String::as_str)
-        .unwrap_or("all")
-        .to_owned();
-    let mut budget = experiment_budget();
-    if let Some(n) = positional.get(1).and_then(|s| s.parse::<u64>().ok()) {
-        budget = SimBudget::new(n / 10, n);
-    }
+    let (which, budget) = match positional.as_slice() {
+        [] => ("all", experiment_budget()),
+        [which] => (which.as_str(), experiment_budget()),
+        [which, n] => match n.parse::<u64>() {
+            Ok(n) => (which.as_str(), SimBudget::new(n / 10, n)),
+            Err(_) => usage(),
+        },
+        _ => usage(),
+    };
     let mut store = match &store_path {
         Some(path) => match ResultStore::open(path) {
             Ok(store) => {
@@ -109,7 +106,7 @@ fn main() {
         println!("telemetry armed: event log {path} (sample interval {interval} cycles)");
     }
 
-    let presets: Vec<&'static str> = match which.as_str() {
+    let presets: Vec<&'static str> = match which {
         "table1" => {
             table1();
             Vec::new()
@@ -134,7 +131,6 @@ fn main() {
         },
     };
 
-    let mut reports: Vec<Report> = Vec::new();
     let mut total = StoreSummary::default();
     for preset in presets {
         // Figures 12-14 share one run, timed as one entry.
@@ -163,29 +159,7 @@ fn main() {
             wall.as_secs_f64(),
             if recalled { " (recalled)" } else { "" }
         );
-        reports.push(Report {
-            name,
-            wall_s: wall.as_secs_f64(),
-            simulated_instructions,
-            mips,
-            recalled,
-        });
         total += summary;
-    }
-
-    if !reports.is_empty() {
-        print_throughput_summary(&reports);
-        // A fully warm sweep performed no simulator work: keep the committed
-        // BENCH.json (the cold-run trajectory the docs embed) instead of
-        // clobbering it with all-zero recall timings.
-        if reports.iter().all(|r| r.recalled) {
-            println!("BENCH.json left untouched (every cell was recalled from the store)");
-        } else {
-            match write_bench_json(&reports) {
-                Ok(path) => println!("wrote {path}"),
-                Err(e) => eprintln!("could not write BENCH.json: {e}"),
-            }
-        }
     }
 
     if telemetry_path.is_some() {
@@ -206,85 +180,6 @@ fn main() {
             store.len()
         );
     }
-}
-
-fn print_throughput_summary(reports: &[Report]) {
-    println!("\n== Simulator throughput ==");
-    println!(
-        "{:<14} {:>9} {:>16} {:>9}",
-        "experiment", "wall s", "sim insts", "MIPS"
-    );
-    let mut wall = 0.0;
-    let mut insts = 0u64;
-    for rep in reports {
-        println!(
-            "{:<14} {:>9.2} {:>16} {:>9.2}{}",
-            rep.name,
-            rep.wall_s,
-            rep.simulated_instructions,
-            rep.mips,
-            if rep.recalled { "  (recalled)" } else { "" }
-        );
-        // A fully recalled experiment did no simulator work; folding its wall
-        // time into the total would deflate the trajectory's MIPS.
-        if !rep.recalled {
-            wall += rep.wall_s;
-            insts += rep.simulated_instructions;
-        }
-    }
-    println!(
-        "{:<14} {:>9.2} {:>16} {:>9.2}",
-        "total",
-        wall,
-        insts,
-        if wall > 0.0 {
-            insts as f64 / wall / 1e6
-        } else {
-            0.0
-        }
-    );
-}
-
-/// Writes the machine-readable throughput report. The JSON is assembled by hand
-/// (the build container has no registry access for serde_json); every value is a
-/// number or a plain ASCII experiment name, so no escaping is needed.
-fn write_bench_json(reports: &[Report]) -> std::io::Result<&'static str> {
-    let jobs = flywheel_bench::worker_count();
-    let mut s = String::from("{\n  \"schema\": \"flywheel-bench/1\",\n");
-    s.push_str(&format!("  \"sweep_workers\": {jobs},\n"));
-    s.push_str("  \"experiments\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"wall_seconds\": {:.3}, \"simulated_instructions\": {}, \
-             \"simulated_mips\": {:.2}, \"recalled\": {}}}{}\n",
-            r.name,
-            r.wall_s,
-            r.simulated_instructions,
-            r.mips,
-            r.recalled,
-            if i + 1 < reports.len() { "," } else { "" }
-        ));
-    }
-    // Recalled entries measured store-recall speed, not simulation; the total
-    // trajectory line charges only real simulator work.
-    let simulated = || reports.iter().filter(|r| !r.recalled);
-    let total_wall: f64 = simulated().map(|r| r.wall_s).sum();
-    let total_insts: u64 = simulated().map(|r| r.simulated_instructions).sum();
-    s.push_str("  ],\n");
-    s.push_str(&format!(
-        "  \"total\": {{\"wall_seconds\": {:.3}, \"simulated_instructions\": {}, \
-         \"simulated_mips\": {:.2}}}\n",
-        total_wall,
-        total_insts,
-        if total_wall > 0.0 {
-            total_insts as f64 / total_wall / 1e6
-        } else {
-            0.0
-        }
-    ));
-    s.push_str("}\n");
-    std::fs::write("BENCH.json", s)?;
-    Ok("BENCH.json")
 }
 
 /// Table 1: module clock frequencies per technology node, model vs paper.

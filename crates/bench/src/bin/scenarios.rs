@@ -18,10 +18,10 @@
 //! LSQ-in-its-own-clock-domain machine) and `dvfs` (the Flywheel against its
 //! governed-clock variant).
 //!
-//! `scenarios list-machines [--names]` prints the registered machine
-//! families: name, power-model kind, which axes each family sweeps, its
-//! preset tags and a one-line summary. `--names` emits bare names, one per
-//! line, for shell iteration (the CI pluggability gate loops over it).
+//! `scenarios list-machines [--names]` prints the machines: name,
+//! power-model kind, which axes each machine sweeps and a one-line summary.
+//! `--names` emits bare names, one per line, for shell iteration (CI's
+//! per-machine solo grid loops over it).
 //!
 //! Axes (comma-separated lists; `custom` starts from the paper's single-point
 //! defaults):
@@ -124,10 +124,10 @@ fn usage() -> ! {
     std::process::exit(1);
 }
 
-/// `scenarios list-machines [--names]`: print the registered machine
-/// families. The default rendering is a human-readable table; `--names`
-/// emits bare family names one per line so shell loops (notably the CI
-/// pluggability gate) can iterate the registry without parsing.
+/// `scenarios list-machines [--names]`: print the machines. The default
+/// rendering is a human-readable table; `--names` emits bare machine names
+/// one per line so shell loops (notably CI's per-machine solo grid) can
+/// iterate them without parsing.
 fn list_machines(args: &[String]) -> ! {
     let mut names_only = false;
     for arg in args {
@@ -142,22 +142,20 @@ fn list_machines(args: &[String]) -> ! {
         }
         std::process::exit(0);
     }
-    println!("{} registered machine families:", Machine::all().len());
-    for m in Machine::all() {
-        let f = m.family();
-        let axes = match (f.uses_clock_axis, f.uses_ec_axis) {
+    println!("{} machines:", Machine::all().len());
+    for &m in Machine::all() {
+        let axes = match (m.uses_clock_axis(), m.uses_ec_axis()) {
             (true, true) => "clock+ec axes",
             (true, false) => "clock axis",
             (false, true) => "ec axis",
             (false, false) => "no swept axes",
         };
         println!(
-            "  {:<22} kind={:<8?} {:<14} presets={:<28} {}",
-            f.name,
-            f.kind,
+            "  {:<22} kind={:<8?} {:<14} {}",
+            m.name(),
+            m.kind(),
             axes,
-            f.presets.join(","),
-            f.summary,
+            m.summary(),
         );
     }
     std::process::exit(0);

@@ -38,12 +38,11 @@
 //! rather than aborting. The `crate::fault` harness can inject all of these
 //! failures deterministically to prove the recovery paths fire.
 
-use crate::executor::{machines_for_preset, CellAxes, Executor};
+use crate::executor::Executor;
 use crate::fault;
 use crate::stats::Aggregate;
 use crate::store::{ResultStore, RunStats, StoreKey, StoreSummary};
 use crate::{format_table, parallel_map_jobs, worker_count, Row, CLOCK_SWEEP, EXPERIMENT_SEED};
-use flywheel_core::FlywheelStats;
 use flywheel_power::{PowerModel, UnitCategory};
 use flywheel_timing::TechNode;
 use flywheel_uarch::watchdog::{self, WatchdogConfig, WatchdogTimeout};
@@ -111,7 +110,7 @@ impl Scenario {
         Scenario {
             name: name.to_owned(),
             benchmarks: Benchmark::paper_suite().to_vec(),
-            machines: machines_for_preset("default"),
+            machines: vec![Machine::Baseline, Machine::Flywheel],
             nodes: vec![TechNode::N130],
             clocks: vec![(0, 0)],
             baseline_clock: (0, 0),
@@ -126,7 +125,11 @@ impl Scenario {
     /// The Figure 2 preset: pipeline-loop stretching on the baseline machine.
     pub fn fig2(budget: SimBudget) -> Self {
         let mut s = Scenario::new("fig2", budget);
-        s.machines = machines_for_preset("fig2");
+        s.machines = vec![
+            Machine::Baseline,
+            Machine::BaselineExtraFe,
+            Machine::BaselinePipedWakeup,
+        ];
         s
     }
 
@@ -134,7 +137,7 @@ impl Scenario {
     /// baseline clock.
     pub fn fig11(budget: SimBudget) -> Self {
         let mut s = Scenario::new("fig11", budget);
-        s.machines = machines_for_preset("fig11");
+        s.machines = vec![Machine::Baseline, Machine::RegAlloc, Machine::Flywheel];
         s
     }
 
@@ -161,7 +164,7 @@ impl Scenario {
     /// the baseline clock.
     pub fn ec_residency(budget: SimBudget) -> Self {
         let mut s = Scenario::new("ec_residency", budget);
-        s.machines = machines_for_preset("ec_residency");
+        s.machines = vec![Machine::Flywheel];
         s
     }
 
@@ -232,7 +235,7 @@ impl Scenario {
     /// the synchronous point and the paper's FE+50/BE+50 point.
     pub fn multidomain(budget: SimBudget) -> Self {
         let mut s = Scenario::new("multidomain", budget);
-        s.machines = machines_for_preset("multidomain");
+        s.machines = vec![Machine::Baseline, Machine::MultiDomain];
         s.clocks = vec![(0, 0), (50, 50)];
         s
     }
@@ -243,45 +246,50 @@ impl Scenario {
     /// point and from the paper's FE+50/BE+50 point.
     pub fn dvfs(budget: SimBudget) -> Self {
         let mut s = Scenario::new("dvfs", budget);
-        s.machines = machines_for_preset("dvfs");
+        s.machines = vec![Machine::Baseline, Machine::Flywheel, Machine::Dvfs];
         s.clocks = vec![(0, 0), (50, 50)];
         s
     }
 
-    /// Validates the scenario: every axis non-empty and every expanded cell's
-    /// machine configuration internally consistent.
+    /// Validates the scenario: every axis non-empty and free of repeats, the
+    /// seed axis sorted, and every expanded cell's machine configuration
+    /// internally consistent.
     pub fn validate(&self) -> Result<(), String> {
-        for (axis, empty) in [
-            ("benchmarks", self.benchmarks.is_empty()),
-            ("machines", self.machines.is_empty()),
-            ("nodes", self.nodes.is_empty()),
-            ("clocks", self.clocks.is_empty()),
-            ("windows", self.windows.is_empty()),
-            ("ec_kb", self.ec_kb.is_empty()),
-            ("mem_cycles", self.mem_cycles.is_empty()),
-            ("seeds", self.seeds.is_empty()),
+        fn render<T: std::fmt::Display>(axis: &[T]) -> Vec<String> {
+            axis.iter().map(T::to_string).collect()
+        }
+        fn pairs(axis: &[(u32, u32)]) -> Vec<String> {
+            axis.iter().map(|(a, b)| format!("{a}:{b}")).collect()
+        }
+        // A repeated entry would simulate the same cells twice (and, on the
+        // seed axis, double-weight one program in every aggregate).
+        for (axis, entry, values) in [
+            ("benchmarks", "benchmark", render(&self.benchmarks)),
+            ("machines", "machine", render(&self.machines)),
+            ("nodes", "node", render(&self.nodes)),
+            ("clocks", "clock", pairs(&self.clocks)),
+            ("windows", "window", pairs(&self.windows)),
+            ("ec_kb", "ec_kb", render(&self.ec_kb)),
+            ("mem_cycles", "mem_cycles", render(&self.mem_cycles)),
+            ("seeds", "seed", render(&self.seeds)),
         ] {
-            if empty {
+            if values.is_empty() {
                 return Err(format!("scenario '{}': axis '{axis}' is empty", self.name));
             }
+            if let Some(dup) = (1..values.len()).find(|&i| values[..i].contains(&values[i])) {
+                return Err(format!(
+                    "scenario '{}': duplicate {entry} {} in the {entry} axis",
+                    self.name, values[dup]
+                ));
+            }
         }
-        // The seed axis must be strictly increasing: duplicates would silently
-        // double-weight one program in every aggregate, and an unsorted list
-        // would make the emitted aggregates depend on axis spelling rather
-        // than content.
-        for pair in self.seeds.windows(2) {
-            if pair[1] == pair[0] {
-                return Err(format!(
-                    "scenario '{}': duplicate seed {} in the seed axis",
-                    self.name, pair[0]
-                ));
-            }
-            if pair[1] < pair[0] {
-                return Err(format!(
-                    "scenario '{}': seed axis is not sorted ({} before {})",
-                    self.name, pair[0], pair[1]
-                ));
-            }
+        // An unsorted seed axis would make the emitted aggregates depend on
+        // axis spelling rather than content.
+        if let Some(pair) = self.seeds.windows(2).find(|pair| pair[1] < pair[0]) {
+            return Err(format!(
+                "scenario '{}': seed axis is not sorted ({} before {})",
+                self.name, pair[0], pair[1]
+            ));
         }
         for cell in self.expand() {
             cell.validate()
@@ -400,11 +408,7 @@ impl Scenario {
         for ((cell, key), outcome) in misses.iter().zip(outcomes) {
             match outcome {
                 Ok(result) => {
-                    let stats = RunStats {
-                        sim: result.sim.clone(),
-                        flywheel: result.flywheel,
-                    };
-                    if let Err(e) = store.insert(*key, &cell.label(), stats) {
+                    if let Err(e) = store.insert(*key, &cell.label(), result.clone()) {
                         eprintln!("warning: could not append to the result store: {e}");
                     }
                     computed.insert(*key, result);
@@ -416,20 +420,13 @@ impl Scenario {
         let mut cells = Vec::with_capacity(grid.len());
         let mut results = Vec::with_capacity(grid.len());
         for (cell, k) in grid.iter().zip(&keys) {
-            let r = match store.get(k) {
-                Some(r) => CellResult {
-                    sim: r.sim.clone(),
-                    flywheel: r.flywheel,
-                },
-                // A miss whose store insert failed still has the result
-                // computed above; a failed cell has neither.
-                None => match computed.get(k) {
-                    Some(r) => r.clone(),
-                    None => continue,
-                },
+            // A miss whose store insert failed still has the result computed
+            // above; a failed cell has neither.
+            let Some(r) = store.get(k).or_else(|| computed.get(k)) else {
+                continue;
             };
             cells.push(*cell);
-            results.push(r);
+            results.push(r.clone());
         }
         let summary = StoreSummary {
             hits: grid.len() - misses.len(),
@@ -671,28 +668,12 @@ impl ScenarioCell {
         )
     }
 
-    /// The machine-independent coordinates of this cell (what a machine
-    /// family's builder resolves into a concrete configuration).
-    pub fn axes(&self) -> CellAxes {
-        CellAxes {
-            bench: self.bench,
-            seed: self.seed,
-            node: self.node,
-            fe_pct: self.fe_pct,
-            be_pct: self.be_pct,
-            iw_entries: self.iw_entries,
-            rob_entries: self.rob_entries,
-            ec_kb: self.ec_kb,
-            mem_cycles: self.mem_cycles,
-        }
-    }
-
-    /// The executor for this cell: the cell's machine family resolved at the
-    /// cell's axes, owning the full machine configuration. With every axis at
-    /// its paper default the resolved configuration is exactly the paper
-    /// machine (plus the family's structural knob).
-    pub fn executor(&self) -> Box<dyn Executor> {
-        self.machine.family().builder.build(&self.axes())
+    /// The executor for this cell: the cell's machine resolved at the cell's
+    /// axes, owning the full machine configuration. With every axis at its
+    /// paper default the resolved configuration is exactly the paper machine
+    /// (plus the machine's structural knob).
+    pub fn executor(&self) -> Executor {
+        Executor::new(*self)
     }
 
     /// Validates the cell's machine configuration.
@@ -710,23 +691,14 @@ impl ScenarioCell {
     /// Simulates the cell against the shared recorded trace of its
     /// `(benchmark, seed)` pair (see [`Executor::simulate`]).
     pub fn run(&self, budget: SimBudget) -> CellResult {
-        let r = self.executor().simulate(budget);
-        CellResult {
-            sim: r.sim,
-            flywheel: r.flywheel,
-        }
+        self.executor().simulate(budget)
     }
 }
 
-/// The result of one cell: the machine-independent simulation result plus the
-/// Flywheel statistics when the cell ran the Flywheel machine.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellResult {
-    /// Performance/energy/pipeline statistics.
-    pub sim: SimResult,
-    /// Flywheel-specific statistics (None for baseline-family machines).
-    pub flywheel: Option<FlywheelStats>,
-}
+/// The result of one cell: the record the store files it under (the
+/// machine-independent simulation result plus the Flywheel statistics when
+/// the cell ran a Flywheel-kind machine).
+pub type CellResult = RunStats;
 
 /// Why a cell attempt failed (the `cause` of a [`FailedCell`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -858,7 +830,7 @@ pub fn check_cell_invariants(
     }
     // Retirement bandwidth bounds the cycle count from below. The executor
     // owns the resolved machine configuration, so the checker never matches
-    // on machine variants — any registered family is checkable as-is.
+    // on machine variants — every machine is checkable as-is.
     let exec = cell.executor();
     let commit_width = exec.commit_width();
     if sim.instructions > sim.be_cycles * commit_width as u64 {
@@ -1792,7 +1764,19 @@ mod tests {
 
     #[test]
     fn presets_validate_and_have_the_expected_cell_counts() {
+        use Machine::*;
         let b = tiny_budget();
+        for (s, machines) in [
+            (Scenario::new("t", b), &[Baseline, Flywheel][..]),
+            (
+                Scenario::fig2(b),
+                &[Baseline, BaselineExtraFe, BaselinePipedWakeup],
+            ),
+            (Scenario::fig11(b), &[Baseline, RegAlloc, Flywheel]),
+            (Scenario::ec_residency(b), &[Flywheel]),
+        ] {
+            assert_eq!(s.machines, machines, "{}", s.name);
+        }
         for (s, per_bench) in [
             (Scenario::fig2(b), 3),
             (Scenario::fig11(b), 3),
@@ -1849,7 +1833,7 @@ mod tests {
         assert_eq!(
             s.machines,
             vec![Machine::Baseline, Machine::MultiDomain],
-            "preset machines come from the registry tags"
+            "the multidomain preset lists its machines"
         );
         assert_eq!(s.cell_count(), s.benchmarks.len() * 3);
         // dvfs: baseline once, Flywheel and governed Flywheel per clock point.
@@ -2222,6 +2206,34 @@ mod tests {
         assert!(err.contains("not sorted"), "got: {err}");
         s.seeds = vec![1, 2, 3];
         s.validate().unwrap();
+    }
+
+    #[test]
+    fn a_repeated_axis_entry_is_rejected_on_every_axis() {
+        let mut base = Scenario::new("t", tiny_budget());
+        base.benchmarks = vec![Benchmark::Micro];
+        base.validate().unwrap();
+        type Repeat = fn(&mut Scenario);
+        let repeats: [(&str, Repeat); 8] = [
+            ("benchmark micro", |s| s.benchmarks.push(Benchmark::Micro)),
+            ("machine flywheel", |s| s.machines.push(Machine::Flywheel)),
+            ("node 130nm", |s| s.nodes.push(TechNode::N130)),
+            ("clock 0:0", |s| s.clocks.push((0, 0))),
+            ("window 128:128", |s| s.windows.push((128, 128))),
+            ("ec_kb 128", |s| s.ec_kb.push(128)),
+            ("mem_cycles 100", |s| s.mem_cycles.push(100)),
+            ("seed 2005", |s| s.seeds.push(EXPERIMENT_SEED)),
+        ];
+        for (what, repeat) in repeats {
+            let mut s = base.clone();
+            repeat(&mut s);
+            let err = s.validate().unwrap_err();
+            let axis = what.split(' ').next().unwrap();
+            assert!(
+                err.contains(&format!("duplicate {what} in the {axis} axis")),
+                "got: {err}"
+            );
+        }
     }
 
     #[test]

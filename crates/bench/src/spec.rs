@@ -507,11 +507,11 @@ mod tests {
 
     #[test]
     fn every_registered_family_name_round_trips_through_a_spec() {
-        // The machines axis is registry-driven: a family registered in
-        // `crate::executor` is spellable in a spec with zero parser edits,
-        // and an unregistered name stays a typed error (see
+        // The machines axis parses through `Machine::from_name`: every
+        // machine is spellable in a spec with zero parser edits, and an
+        // unknown name stays a typed error (see
         // `bad_specs_are_rejected_with_context`). Pin both the full list and
-        // each name individually, so a registry rename breaks here first.
+        // each name individually, so a machine rename breaks here first.
         let names: Vec<&str> = Machine::all().iter().map(|m| m.name()).collect();
         assert!(names.contains(&"multidomain") && names.contains(&"dvfs"));
         let mut s = Scenario::smoke();

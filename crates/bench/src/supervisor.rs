@@ -41,7 +41,7 @@
 use crate::fault::{self, FaultPlan, ProcFault};
 use crate::scenario::{run_cell_with_retries, Scenario};
 use crate::spec::{scenario_from_spec, scenario_to_spec};
-use crate::store::{MergeError, ResultStore, RunStats, StoreError};
+use crate::store::{MergeError, ResultStore, StoreError};
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -492,14 +492,7 @@ fn shard_worker_main(args: &[String]) -> Result<(), String> {
             match run_cell_with_retries(cell, budget) {
                 Ok(r) => {
                     store
-                        .insert(
-                            key,
-                            &cell.label(),
-                            RunStats {
-                                sim: r.sim,
-                                flywheel: r.flywheel,
-                            },
-                        )
+                        .insert(key, &cell.label(), r)
                         .map_err(|e| e.to_string())?;
                     status.simulated += 1;
                 }

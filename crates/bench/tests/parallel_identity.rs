@@ -62,8 +62,8 @@ fn trace_cursor_restart_replays_identically_mid_grid() {
         assert_eq!(cursor.by_ref().take(consumed).count(), consumed);
         cursor.restart();
         // The executor replays the cell's machine directly on the restarted
-        // cursor, bypassing every store and cache — any registered family,
-        // with no machine dispatch here.
+        // cursor, bypassing every store and cache — any machine, with no
+        // machine dispatch here.
         let replayed = cell.executor().replay(cursor, budget);
         assert_eq!(
             replayed.sim,

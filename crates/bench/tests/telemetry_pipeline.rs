@@ -9,8 +9,8 @@
 //! not share a process with tests that simulate cells of their own. The
 //! grid tests spawn `scenarios`, which installs its own sink.
 
-use flywheel_bench::executor::{CellAxes, Executor, Machine};
-use flywheel_bench::scenario::Scenario;
+use flywheel_bench::executor::{Executor, Machine};
+use flywheel_bench::scenario::{Scenario, ScenarioCell};
 use flywheel_bench::spec::scenario_to_spec;
 use flywheel_bench::store::{self, StoreKey};
 use flywheel_bench::telemetry::{
@@ -67,10 +67,11 @@ fn custom_grid(insts: u64) -> Scenario {
 }
 
 /// The paper-point executor of `machine` on the micro benchmark, seed 42.
-fn executor(machine: Machine) -> Box<dyn Executor> {
-    machine.family().builder.build(&CellAxes {
+fn executor(machine: Machine) -> Executor {
+    ScenarioCell {
         bench: Benchmark::Micro,
         seed: 42,
+        machine,
         node: TechNode::N130,
         fe_pct: 0,
         be_pct: 0,
@@ -78,7 +79,8 @@ fn executor(machine: Machine) -> Box<dyn Executor> {
         rob_entries: 128,
         ec_kb: 128,
         mem_cycles: 100,
-    })
+    }
+    .executor()
 }
 
 #[test]

@@ -9,8 +9,6 @@
 //! --store PATH        result store to read (default: results.store)
 //! --insts N           measured instructions per cell, N/10 warm-up on top
 //!                     (default: the experiment budget, 250000)
-//! --bench-json PATH   throughput report to embed (default: BENCH.json;
-//!                     skipped if the file does not exist)
 //! --results PATH      RESULTS.md artifact (default: RESULTS.md)
 //! --experiments PATH  document carrying the generated figure block
 //!                     (default: EXPERIMENTS.md)
@@ -43,9 +41,9 @@ use flywheel_uarch::SimBudget;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: report [--store PATH] [--insts N] [--bench-json PATH] \
-         [--results PATH] [--experiments PATH] [--scenario-json PATH] \
-         [--telemetry-log PATH] [--populate] [--check]"
+        "usage: report [--store PATH] [--insts N] [--results PATH] \
+         [--experiments PATH] [--scenario-json PATH] [--telemetry-log PATH] \
+         [--populate] [--check]"
     );
     std::process::exit(1);
 }
@@ -57,7 +55,6 @@ fn fail(msg: &str) -> ! {
 
 fn main() {
     let mut store_path = "results.store".to_owned();
-    let mut bench_json_path = "BENCH.json".to_owned();
     let mut results_path = "RESULTS.md".to_owned();
     let mut experiments_path = "EXPERIMENTS.md".to_owned();
     let mut scenario_json_path: Option<String> = None;
@@ -72,7 +69,6 @@ fn main() {
         let mut value = || it.next().map(String::to_owned).unwrap_or_else(|| usage());
         match arg.as_str() {
             "--store" => store_path = value(),
-            "--bench-json" => bench_json_path = value(),
             "--results" => results_path = value(),
             "--experiments" => experiments_path = value(),
             "--scenario-json" => scenario_json_path = Some(value()),
@@ -101,16 +97,8 @@ fn main() {
         );
     }
 
-    let bench_json = std::fs::read_to_string(&bench_json_path).ok();
-    if bench_json.is_none() {
-        println!(
-            "note: {bench_json_path} not found; RESULTS.md will omit the throughput trajectory"
-        );
-    }
-
     let mut src = Source::read_only(&mut store);
-    let mut results =
-        results_markdown(&mut src, budget, bench_json.as_deref()).unwrap_or_else(|e| fail(&e));
+    let mut results = results_markdown(&mut src, budget).unwrap_or_else(|e| fail(&e));
     if let Some(path) = &scenario_json_path {
         let json = std::fs::read_to_string(path)
             .unwrap_or_else(|e| fail(&format!("could not read {path}: {e}")));

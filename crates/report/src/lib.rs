@@ -11,8 +11,9 @@
 //!   figure's scenario preset run against the store and rendered by
 //!   [`ScenarioRun::figure_tables`] — the one definition of each figure the
 //!   `experiments` and `scenarios` binaries print too.
-//! * [`results_markdown`] assembles the full `RESULTS.md` artifact: figure
-//!   tables plus the simulator-throughput trajectory read from `BENCH.json`.
+//! * [`results_markdown`] assembles the full `RESULTS.md` artifact: the
+//!   figure tables and the seed-sensitivity tables. The simulator's own speed
+//!   is measured by `python3 perfbench/run.py`, not recorded here.
 //! * [`patch_block`]/[`extract_block`] maintain the generated section of
 //!   `EXPERIMENTS.md` between `flywheel-report` markers.
 //! * The `report` binary drives it all, and its `--check` mode is the CI gate
@@ -25,7 +26,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use flywheel_bench::scenario::{CellResult, Machine, Scenario, ScenarioRun};
+use flywheel_bench::scenario::{Machine, Scenario, ScenarioRun};
 use flywheel_bench::stats::Aggregate;
 use flywheel_bench::store::{ResultStore, StoreKey, StoreSummary};
 use flywheel_bench::telemetry::TelemetryLog;
@@ -113,10 +114,7 @@ impl<'a> Source<'a> {
         let results = cells
             .iter()
             .map(|cell| match self.store.get(&cell.key(scenario.budget)) {
-                Some(r) => Ok(CellResult {
-                    sim: r.sim.clone(),
-                    flywheel: r.flywheel,
-                }),
+                Some(r) => Ok(r.clone()),
                 None => Err(format!(
                     "no stored record for {}; populate the store first \
                      (`cargo run --release -p flywheel-report --bin report -- --populate` or \
@@ -331,7 +329,7 @@ pub fn populate(store: &mut ResultStore, budget: SimBudget) -> Result<StoreSumma
     Ok(src.summary())
 }
 
-/// Extracts one field of a hand-assembled `BENCH.json` object line.
+/// Extracts one field of a hand-assembled JSON object line.
 fn json_field<'a>(line: &'a str, name: &str) -> Option<&'a str> {
     let pat = format!("\"{name}\": ");
     let start = line.find(&pat)? + pat.len();
@@ -340,51 +338,6 @@ fn json_field<'a>(line: &'a str, name: &str) -> Option<&'a str> {
         return stripped.split('"').next();
     }
     rest.split([',', '}']).next().map(str::trim)
-}
-
-/// Renders the simulator-throughput trajectory table from a `BENCH.json`
-/// document written by the `experiments` binary.
-pub fn trajectory_table(bench_json: &str) -> Result<String, String> {
-    if !bench_json.contains("\"schema\": \"flywheel-bench/1\"") {
-        return Err("BENCH.json: unknown or missing schema".to_owned());
-    }
-    let mut out = String::new();
-    out.push_str("| experiment | wall s | simulated instructions | MIPS |\n");
-    out.push_str("|------------|-------:|-----------------------:|-----:|\n");
-    let mut rows = 0;
-    for line in bench_json.lines() {
-        let line = line.trim();
-        let name = if line.starts_with("{\"name\":") {
-            json_field(line, "name")
-        } else if line.starts_with("\"total\":") {
-            Some("**total**")
-        } else {
-            continue;
-        };
-        let (Some(name), Some(wall), Some(insts), Some(mips)) = (
-            name,
-            json_field(line, "wall_seconds"),
-            json_field(line, "simulated_instructions"),
-            json_field(line, "simulated_mips"),
-        ) else {
-            return Err(format!("BENCH.json: malformed line '{line}'"));
-        };
-        // Entries answered entirely from the result store measured recall
-        // speed, not simulation, and are excluded from the total line.
-        let recalled = if json_field(line, "recalled") == Some("true") {
-            " (recalled)"
-        } else {
-            ""
-        };
-        out.push_str(&format!(
-            "| {name}{recalled} | {wall} | {insts} | {mips} |\n"
-        ));
-        rows += 1;
-    }
-    if rows == 0 {
-        return Err("BENCH.json: no experiment entries found".to_owned());
-    }
-    Ok(out)
 }
 
 /// Renders the "Degraded cells" section from a scenario JSON document
@@ -634,13 +587,8 @@ pub fn telemetry_section(log: &TelemetryLog) -> String {
     out
 }
 
-/// Assembles the full RESULTS.md artifact from the store (and, optionally,
-/// the `BENCH.json` throughput report).
-pub fn results_markdown(
-    src: &mut Source<'_>,
-    budget: SimBudget,
-    bench_json: Option<&str>,
-) -> Result<String, String> {
+/// Assembles the full RESULTS.md artifact from the store.
+pub fn results_markdown(src: &mut Source<'_>, budget: SimBudget) -> Result<String, String> {
     let tables = all_figure_tables(src, budget)?;
     let mut out = String::new();
     out.push_str("# RESULTS\n\n");
@@ -666,15 +614,11 @@ pub fn results_markdown(
     out.push_str("\n## Figure tables\n\n```text");
     out.push_str(&tables);
     out.push_str("```\n");
-    if let Some(json) = bench_json {
-        out.push_str(
-            "\n## Simulator throughput trajectory\n\n\
-             From `BENCH.json` (written by the `experiments` binary; wall-clock\n\
-             and MIPS are host-dependent — diff across commits on the same\n\
-             machine to track the simulator's own performance):\n\n",
-        );
-        out.push_str(&trajectory_table(json)?);
-    }
+    out.push_str(
+        "\n## Simulator throughput\n\n\
+         Measure the simulator's own speed with `python3 perfbench/run.py`, which\n\
+         times every workload over repeated samples and reports their spread.\n",
+    );
     Ok(out)
 }
 
@@ -762,16 +706,6 @@ mod tests {
         assert!(extract_block("no markers").is_err());
         let dup = format!("{BLOCK_BEGIN}\n{BLOCK_END}\n{BLOCK_BEGIN}\n{BLOCK_END}");
         assert!(extract_block(&dup).is_err());
-    }
-
-    #[test]
-    fn trajectory_table_parses_the_handwritten_json() {
-        let json = "{\n  \"schema\": \"flywheel-bench/1\",\n  \"sweep_workers\": 4,\n  \"experiments\": [\n    {\"name\": \"fig2\", \"wall_seconds\": 2.510, \"simulated_instructions\": 9000000, \"simulated_mips\": 3.59},\n    {\"name\": \"fig11\", \"wall_seconds\": 2.670, \"simulated_instructions\": 9000000, \"simulated_mips\": 3.37}\n  ],\n  \"total\": {\"wall_seconds\": 5.180, \"simulated_instructions\": 18000000, \"simulated_mips\": 3.47}\n}\n";
-        let table = trajectory_table(json).unwrap();
-        assert!(table.contains("| fig2 | 2.510 | 9000000 | 3.59 |"));
-        assert!(table.contains("| **total** | 5.180 | 18000000 | 3.47 |"));
-        assert!(trajectory_table("{}").is_err());
-        assert!(trajectory_table("{\"schema\": \"flywheel-bench/1\"}").is_err());
     }
 
     #[test]

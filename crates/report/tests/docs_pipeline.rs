@@ -33,10 +33,10 @@ fn pipeline_regenerates_checks_and_catches_tampering() {
 
     // Regeneration is deterministic: two renders are byte-identical.
     let mut src = Source::read_only(&mut store);
-    let results = results_markdown(&mut src, budget, None).unwrap();
+    let results = results_markdown(&mut src, budget).unwrap();
     let block = experiments_block(&mut src, budget).unwrap();
     let mut src = Source::read_only(&mut store);
-    assert_eq!(results, results_markdown(&mut src, budget, None).unwrap());
+    assert_eq!(results, results_markdown(&mut src, budget).unwrap());
 
     // A faithful document passes the check.
     let doc =

@@ -52,4 +52,4 @@ mv "$scratch/EXPERIMENTS.md" EXPERIMENTS.md
 echo "== [4/4] verifying the docs gate =="
 cargo run --release -p flywheel-report --bin report -- --check
 
-echo "regen complete: golden.txt, results.store, RESULTS.md, EXPERIMENTS.md and BENCH.json are consistent"
+echo "regen complete: golden.txt, results.store, RESULTS.md and EXPERIMENTS.md are consistent"
