@@ -214,12 +214,6 @@ pub fn simulated_mips(instructions: u64, wall: std::time::Duration) -> f64 {
     }
 }
 
-/// The default budget used by the quick benches (kept small so `cargo bench`
-/// finishes in minutes; EXPERIMENTS.md records runs with the larger budget).
-pub fn bench_budget() -> SimBudget {
-    SimBudget::new(10_000, 40_000)
-}
-
 /// The budget used by the `experiments` binary unless overridden on the command
 /// line.
 pub fn experiment_budget() -> SimBudget {

@@ -381,9 +381,13 @@ pub fn degraded_cells_section(scenario_json: &str) -> Result<String, String> {
         ));
         failed += 1;
     }
+    // Only the `cells` array: seed-aggregate objects also start `{"bench":`.
     let cell_count = scenario_json
         .lines()
-        .filter(|l| l.trim().starts_with("{\"bench\":"))
+        .map(str::trim)
+        .skip_while(|l| *l != "\"cells\": [")
+        .take_while(|l| !l.starts_with(']'))
+        .filter(|l| l.starts_with("{\"bench\":"))
         .count();
     if failed == 0 {
         out.push_str(&format!(
@@ -728,6 +732,32 @@ mod tests {
         assert!(degraded_cells_section("{}").is_err());
         let v1 = "{\n  \"schema\": \"flywheel-scenarios/1\"\n}\n";
         assert!(degraded_cells_section(v1).is_err());
+    }
+
+    #[test]
+    fn degraded_cells_section_counts_cells_not_seed_aggregates() {
+        use flywheel_bench::scenario::{FailCause, FailedCell};
+
+        let mut s = Scenario::new("seeds", SimBudget::new(200, 1_000));
+        s.benchmarks = vec![Benchmark::Micro];
+        s.seeds = vec![1, 2, 3];
+        let mut run = s.run();
+        let section = degraded_cells_section(&run.to_json()).unwrap();
+        assert!(
+            section.contains("Complete run: all 6 cells simulated"),
+            "{section}"
+        );
+
+        run.results.pop();
+        let cell = run.cells.pop().unwrap();
+        let cause = FailCause::Panic("injected".to_owned());
+        run.failed.push(FailedCell {
+            cell,
+            cause,
+            attempts: 1,
+        });
+        let section = degraded_cells_section(&run.to_json()).unwrap();
+        assert!(section.contains("1 of 6 cells failed"), "{section}");
     }
 
     #[test]
