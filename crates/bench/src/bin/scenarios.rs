@@ -6,17 +6,22 @@
 //! ```text
 //! cargo run --release -p flywheel-bench --bin scenarios -- <preset> [options]
 //! cargo run --release -p flywheel-bench --bin scenarios -- custom [axes] [options]
+//! cargo run --release -p flywheel-bench --bin scenarios -- table1|fig1
 //! ```
 //!
 //! Presets (`Scenario::preset`): the paper figures `fig2`, `fig11`, `fig12`
 //! (with Figures 13 and 14), `fig15` (with its leakage-attribution tables) and
 //! `ec_residency`, which print their figure tables — the same renderers the
-//! `experiments` and `report` binaries use — plus `smoke` (the CI grid),
-//! `stress` (the stress-workload family over three config axes), `leakage`
-//! (technology node x machine x Execution Cache capacity, the
-//! attributed-leakage sweep), `multidomain` (the baseline against the
-//! LSQ-in-its-own-clock-domain machine) and `dvfs` (the Flywheel against its
-//! governed-clock variant).
+//! `report` binary uses — plus `smoke` (the CI grid), `stress` (the
+//! stress-workload family over three config axes), `leakage` (technology
+//! node x machine x Execution Cache capacity, the attributed-leakage sweep),
+//! `multidomain` (the baseline against the LSQ-in-its-own-clock-domain
+//! machine) and `dvfs` (the Flywheel against its governed-clock variant).
+//!
+//! `scenarios table1` prints Table 1 (module clock frequencies per technology
+//! node, modelled against published) and `scenarios fig1` prints Figure 1
+//! (structure access latency across nodes). Both are analytic: they simulate
+//! nothing and take no options.
 //!
 //! `scenarios list-machines [--names]` prints the machines: name,
 //! power-model kind, which axes each machine sweeps and a one-line summary.
@@ -24,7 +29,8 @@
 //! per-machine solo grid loops over it).
 //!
 //! Axes (comma-separated lists; `custom` starts from the paper's single-point
-//! defaults):
+//! defaults). Each flag is the spec field of the same name, parsed by
+//! `flywheel_bench::spec::apply_field`:
 //!
 //! ```text
 //! --benches gzip,ptrchase   --machines baseline,flywheel,regalloc
@@ -34,18 +40,18 @@
 //! ```
 //!
 //! Options: `--insts N` (measured instructions per cell with N/10 warm-up on
-//! top, matching the `experiments` binary's budget argument — applies to every
-//! preset, including `smoke`), `--check` (assert the machine invariants on
-//! every cell), `--json PATH`, `--csv PATH`, `--store PATH` (memoize cells in
-//! a persistent content-addressed result store: cells already present are
-//! recalled bit-identically instead of simulated, so warm re-runs simulate
-//! nothing and edited scenarios only simulate the cells they changed),
-//! `--faults SPEC` (install a deterministic fault-injection plan, e.g.
-//! `seed=7,panic=2,torn=3` — see `flywheel_bench::fault`), `--telemetry PATH`
-//! (arm the kernels' telemetry and append each simulated cell's events, as
-//! one block, to a CRC-framed, content-addressed event log at PATH; off by
-//! default, and a disarmed run is byte-identical to one built without the
-//! flag).
+//! top, like the `report` binary's `--insts`; applies to every preset,
+//! including `smoke`, and must be at least 1), `--check` (assert the machine
+//! invariants on every cell), `--json PATH`, `--csv PATH`, `--store PATH`
+//! (memoize cells in a persistent content-addressed result store: cells
+//! already present are recalled bit-identically instead of simulated, so
+//! warm re-runs simulate nothing and edited scenarios only simulate the
+//! cells they changed), `--faults SPEC` (install a deterministic
+//! fault-injection plan, e.g. `seed=7,panic=2,torn=3` — see
+//! `flywheel_bench::fault`), `--telemetry PATH` (arm the kernels' telemetry
+//! and append each simulated cell's events, as one block, to a CRC-framed,
+//! content-addressed event log at PATH; off by default, and a disarmed run is
+//! byte-identical to one built without the flag).
 //!
 //! A panicking or runaway cell no longer aborts the sweep: it is retried a
 //! bounded number of times and, if it keeps failing, reported in a
@@ -55,7 +61,8 @@
 //! `scenarios fsck [--store PATH]` verifies a result store and repairs any
 //! damage (torn appends, flipped bits, previous-schema files): valid records
 //! are kept, damaged lines are quarantined to `<store>.quarantine`, and a
-//! one-line summary is printed. A clean store is left byte-untouched.
+//! one-line summary is printed. A clean store is left byte-untouched; a path
+//! that does not exist exits 1 ("no such store").
 //!
 //! `scenarios fsck-events <path>` verifies a telemetry event log: the schema
 //! header and every CRC32 frame are checked and a one-line summary (event and
@@ -73,10 +80,10 @@
 //! exponential backoff (restarted workers re-run only the cells their dead
 //! predecessor never landed), then merges the shards into the main store.
 //! A shard that exhausts its restart budget degrades the sweep to a
-//! failed-cell manifest instead of aborting it. Knobs: `--max-restarts N`,
-//! `--backoff-ms N`, `--stall-timeout-ms N`, `--deadline-ms N`,
-//! `--status-dir D`, `--faults SPEC` (cell faults run inside workers;
-//! `abort=`/`sigkill=`/`hang=` doom whole worker processes).
+//! failed-cell manifest instead of aborting it. Status files live in
+//! `<store>.status`. Knobs: `--backoff-ms N` (base restart backoff),
+//! `--faults SPEC` (cell faults run inside workers; `abort=`/`sigkill=`/`hang=`
+//! doom whole worker processes).
 //!
 //! `scenarios search [--objective max|min|both] [--seed S] [--generations G]
 //! [--population P] [--children C] [--insts N] [--top K] [--store PATH]` runs
@@ -97,9 +104,9 @@ use flywheel_bench::scenario::{Machine, Scenario};
 use flywheel_bench::store::{MergeError, ResultStore};
 use flywheel_bench::supervisor::{self, SupervisorConfig};
 use flywheel_bench::{experiment_budget, fault, search, simulated_mips, spec, worker_count};
-use flywheel_timing::TechNode;
+use flywheel_timing::{paper, ModuleFrequencies, StructureLatency, TechNode};
+use flywheel_timing::{CacheGeometry, IssueWindowGeometry, RegFileGeometry};
 use flywheel_uarch::SimBudget;
-use flywheel_workloads::Benchmark;
 use std::time::{Duration, Instant};
 
 fn usage() -> ! {
@@ -110,12 +117,12 @@ fn usage() -> ! {
          [--windows IW:ROB,..] [--ec KB,..] [--mem CYC,..] [--seeds S,..] \
          [--insts N] [--check] [--json PATH] [--csv PATH] [--store PATH] \
          [--faults SPEC] [--telemetry PATH]\
+         \n       scenarios table1|fig1\
          \n       scenarios list-machines [--names]\n       scenarios fsck [--store PATH]\
          \n       scenarios fsck-events <path>\
          \n       scenarios merge <A> <B> [--out C]\
          \n       scenarios sweep <preset|--spec SPEC> [--store PATH] [--shards N] \
-         [--insts N] [--max-restarts N] [--backoff-ms N] [--stall-timeout-ms N] \
-         [--deadline-ms N] [--status-dir D] [--faults SPEC] [--telemetry PATH]\
+         [--insts N] [--backoff-ms N] [--faults SPEC] [--telemetry PATH]\
          \n       scenarios search [--objective max|min|both] [--seed S] \
          [--generations G] [--population P] [--children C] [--insts N] \
          [--top K] [--store PATH]",
@@ -224,11 +231,7 @@ fn sweep_cmd(args: &[String]) -> ! {
     let mut insts: Option<u64> = None;
     let mut faults_spec: Option<String> = None;
     let mut telemetry_path: Option<String> = None;
-    let mut status_dir: Option<String> = None;
-    let mut max_restarts: Option<u32> = None;
     let mut backoff_ms: Option<u64> = None;
-    let mut stall_timeout_ms: Option<u64> = None;
-    let mut deadline_ms: Option<u64> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut value = || it.next().cloned().unwrap_or_else(|| usage());
@@ -240,11 +243,7 @@ fn sweep_cmd(args: &[String]) -> ! {
             "--insts" => insts = Some(num(value())),
             "--faults" => faults_spec = Some(value()),
             "--telemetry" => telemetry_path = Some(value()),
-            "--status-dir" => status_dir = Some(value()),
-            "--max-restarts" => max_restarts = Some(num(value()) as u32),
             "--backoff-ms" => backoff_ms = Some(num(value())),
-            "--stall-timeout-ms" => stall_timeout_ms = Some(num(value())),
-            "--deadline-ms" => deadline_ms = Some(num(value())),
             other if !other.starts_with('-') && preset.is_none() => preset = Some(other.to_owned()),
             _ => usage(),
         }
@@ -280,23 +279,13 @@ fn sweep_cmd(args: &[String]) -> ! {
         eprintln!("sweep: cannot determine worker executable: {e}");
         std::process::exit(1);
     });
-    let status_dir =
-        std::path::PathBuf::from(status_dir.unwrap_or_else(|| format!("{store_path}.status")));
+    let status_dir = std::path::PathBuf::from(format!("{store_path}.status"));
     let shard_count = shards.unwrap_or_else(|| worker_count().clamp(1, 8));
     let mut cfg = SupervisorConfig::new(shard_count, worker_exe, status_dir);
     cfg.faults = faults;
     cfg.telemetry = telemetry_path.as_ref().map(std::path::PathBuf::from);
-    if let Some(n) = max_restarts {
-        cfg.max_restarts = n;
-    }
     if let Some(n) = backoff_ms {
         cfg.backoff = Duration::from_millis(n);
-    }
-    if let Some(n) = stall_timeout_ms {
-        cfg.stall_timeout = Duration::from_millis(n);
-    }
-    if let Some(n) = deadline_ms {
-        cfg.shard_deadline = Duration::from_millis(n);
     }
 
     println!(
@@ -384,6 +373,12 @@ fn fsck(args: &[String]) -> ! {
             other if !other.starts_with('-') => store_path = other.to_owned(),
             _ => usage(),
         }
+    }
+    // Opening treats a missing file as an empty store, which would pass as
+    // "clean": a mistyped path must fail instead.
+    if !std::path::Path::new(&store_path).exists() {
+        eprintln!("fsck {store_path}: no such store");
+        std::process::exit(1);
     }
     match ResultStore::open_recovering(&store_path) {
         Ok((_, report)) => {
@@ -483,110 +478,40 @@ fn search_cmd(args: &[String]) -> ! {
     std::process::exit(0);
 }
 
-fn parse_list<T>(arg: &str, what: &str, parse: impl Fn(&str) -> Option<T>) -> Vec<T> {
-    let items: Vec<T> = arg
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .filter_map(|s| {
-            let v = parse(s);
-            if v.is_none() {
-                eprintln!("unknown {what} '{s}'");
-                std::process::exit(1);
-            }
-            v
-        })
-        .collect();
-    if items.is_empty() {
-        eprintln!("empty {what} list '{arg}'");
-        std::process::exit(1);
-    }
-    items
-}
-
-fn parse_pair(s: &str) -> Option<(u32, u32)> {
-    let (a, b) = s.split_once(':')?;
-    Some((a.parse().ok()?, b.parse().ok()?))
-}
-
-fn parse_node(s: &str) -> Option<TechNode> {
-    TechNode::all()
-        .iter()
-        .copied()
-        .find(|n| n.feature_nm().to_string() == s)
-}
-
 fn main() {
     // When spawned as a supervised shard worker, run the shard and exit.
     supervisor::maybe_run_shard_worker();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(which) = args.first() else { usage() };
-    if which == "list-machines" {
-        list_machines(&args[1..]);
-    }
-    if which == "fsck" {
-        fsck(&args[1..]);
-    }
-    if which == "fsck-events" {
-        fsck_events(&args[1..]);
-    }
-    if which == "merge" {
-        merge_cmd(&args[1..]);
-    }
-    if which == "sweep" {
-        sweep_cmd(&args[1..]);
-    }
-    if which == "search" {
-        search_cmd(&args[1..]);
+    let rest = &args[1..];
+    match which.as_str() {
+        "list-machines" => list_machines(rest),
+        "fsck" => fsck(rest),
+        "fsck-events" => fsck_events(rest),
+        "merge" => merge_cmd(rest),
+        "sweep" => sweep_cmd(rest),
+        "search" => search_cmd(rest),
+        // Analytic tables: nothing to simulate, so they take no options.
+        "table1" if rest.is_empty() => return table1(),
+        "fig1" if rest.is_empty() => return fig1(),
+        _ => {}
     }
 
-    // Scan for --insts first: presets embed the budget at construction.
-    let mut insts_override: Option<u64> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--insts" {
-            let n: u64 = it
-                .next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| usage());
-            insts_override = Some(n);
-        }
-    }
-    let budget = match insts_override {
-        Some(n) => SimBudget::new(n / 10, n),
-        // The smoke grid keeps its own tiny budget unless --insts overrides it.
-        None if which == "smoke" => Scenario::smoke().budget,
-        None => experiment_budget(),
-    };
-    let mut scenario = match which.as_str() {
-        "custom" => Scenario::new("custom", budget),
-        name => Scenario::preset(name, budget).unwrap_or_else(|| usage()),
-    };
-
+    let mut axes: Vec<(&str, &str)> = Vec::new();
+    let mut insts: Option<u64> = None;
     let mut check = false;
     let mut json_path: Option<String> = None;
     let mut csv_path: Option<String> = None;
     let mut store_path: Option<String> = None;
     let mut faults_spec: Option<String> = None;
     let mut telemetry_path: Option<String> = None;
-    let mut it = args.iter().skip(1);
+    let mut it = rest.iter();
     while let Some(arg) = it.next() {
         let mut value = || it.next().map(String::as_str).unwrap_or_else(|| usage());
         match arg.as_str() {
-            "--benches" => {
-                scenario.benchmarks = parse_list(value(), "benchmark", Benchmark::from_name)
-            }
-            "--machines" => scenario.machines = parse_list(value(), "machine", Machine::from_name),
-            "--nodes" => scenario.nodes = parse_list(value(), "node", parse_node),
-            "--clocks" => scenario.clocks = parse_list(value(), "clock pair", parse_pair),
-            "--windows" => scenario.windows = parse_list(value(), "window pair", parse_pair),
-            "--ec" => scenario.ec_kb = parse_list(value(), "EC size", |s| s.parse().ok()),
-            "--mem" => {
-                scenario.mem_cycles = parse_list(value(), "memory latency", |s| s.parse().ok())
-            }
-            "--seeds" => scenario.seeds = parse_list(value(), "seed", |s| s.parse().ok()),
-            "--insts" => {
-                let _ = value(); // already applied above
-            }
+            "--benches" | "--machines" | "--nodes" | "--clocks" | "--windows" | "--ec"
+            | "--mem" | "--seeds" => axes.push((&arg[2..], value())),
+            "--insts" => insts = Some(value().parse().unwrap_or_else(|_| usage())),
             "--check" => check = true,
             "--json" => json_path = Some(value().to_owned()),
             "--csv" => csv_path = Some(value().to_owned()),
@@ -597,7 +522,23 @@ fn main() {
         }
     }
 
-    if let Err(e) = scenario.validate() {
+    // The preset embeds the budget, so it is built once every flag is read;
+    // the axis flags then override its axes through the spec's field parser.
+    let budget = match insts {
+        Some(n) => SimBudget::new(n / 10, n),
+        // The smoke grid keeps its own tiny budget unless --insts overrides it.
+        None if which == "smoke" => Scenario::smoke().budget,
+        None => experiment_budget(),
+    };
+    let mut scenario = match which.as_str() {
+        "custom" => Scenario::new("custom", budget),
+        name => Scenario::preset(name, budget).unwrap_or_else(|| usage()),
+    };
+    let valid = axes
+        .into_iter()
+        .try_for_each(|(key, value)| spec::apply_field(&mut scenario, key, value))
+        .and_then(|()| scenario.validate());
+    if let Err(e) = valid {
         eprintln!("invalid scenario: {e}");
         std::process::exit(1);
     }
@@ -729,5 +670,70 @@ fn main() {
                 std::process::exit(1);
             }
         }
+    }
+}
+
+/// Table 1: module clock frequencies per technology node, model vs paper.
+fn table1() {
+    println!("\n== Table 1: module clock frequencies (MHz), modelled vs published ==");
+    let published = paper::published_table1();
+    let modelled = paper::modeled_table1();
+    print!("{:<34}", "module");
+    for n in paper::TABLE1_NODES {
+        print!(" {:>16}", n.to_string());
+    }
+    println!();
+    for (p, m) in published.iter().zip(&modelled) {
+        print!("{:<34}", p.module);
+        for i in 0..4 {
+            print!(" {:>7.0}/{:<8.0}", m.mhz[i], p.mhz[i]);
+        }
+        println!();
+    }
+    println!("(each cell: modelled / published)");
+    for n in [TechNode::N180, TechNode::N60] {
+        let f = ModuleFrequencies::for_node(n);
+        println!(
+            "{n}: max front-end speed-up {:.2}x, max back-end speed-up {:.2}x over the Issue Window clock",
+            f.max_frontend_speedup(),
+            f.max_backend_speedup()
+        );
+    }
+}
+
+/// Figure 1: latency scaling of issue windows, caches and register files.
+fn fig1() {
+    println!("\n== Figure 1: access latency (ps) across technology nodes ==");
+    let structures: Vec<(&str, Box<dyn StructureLatency>)> = vec![
+        (
+            "IW 128-entry/6-way",
+            Box::new(IssueWindowGeometry::new(128, 6)),
+        ),
+        (
+            "IW 64-entry/4-way",
+            Box::new(IssueWindowGeometry::new(64, 4)),
+        ),
+        (
+            "Cache 64K/2w/1port",
+            Box::new(CacheGeometry::new(64 * 1024, 2, 1, 64)),
+        ),
+        (
+            "Cache 32K/4w/2port",
+            Box::new(CacheGeometry::new(32 * 1024, 4, 2, 64)),
+        ),
+        ("RF 128 entries", Box::new(RegFileGeometry::new(128, 18))),
+        ("RF 256 entries", Box::new(RegFileGeometry::new(256, 18))),
+    ];
+    print!("{:<22}", "structure");
+    for n in TechNode::all() {
+        print!(" {:>8}", n.to_string());
+    }
+    println!();
+    for (name, s) in &structures {
+        print!("{name:<22}");
+        for n in TechNode::all() {
+            print!(" {:>8.0}", s.latency_ps(*n));
+        }
+        println!();
     }
 }

@@ -8,8 +8,9 @@
 //! [`scenario::ScenarioRun`] that reports the normalized quantities the paper
 //! plots (relative performance, energy and power). Every cell runs through
 //! [`executor::Executor::simulate`] and is memoized in the content-addressed
-//! [`store`]. The `experiments` and `scenarios` binaries and the
-//! `flywheel-report` crate all render through that one path.
+//! [`store`]. The `scenarios` binary and the `flywheel-report` crate both
+//! render through that one path: `scenarios` prints any one table or figure,
+//! and `report --populate` fills the published store.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -102,8 +103,8 @@ pub struct Row {
 /// Renders a table of rows plus their average row, Figure-style, to a string.
 ///
 /// The single formatting path for figure tables: every figure renderer on
-/// [`scenario::ScenarioRun`] formats through it, whether the `experiments`
-/// binary, the `scenarios` binary or `flywheel-report` asked for the table.
+/// [`scenario::ScenarioRun`] formats through it, whether the `scenarios`
+/// binary or `flywheel-report` asked for the table.
 pub fn format_table(title: &str, columns: &[String], rows: &[Row]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -214,8 +215,8 @@ pub fn simulated_mips(instructions: u64, wall: std::time::Duration) -> f64 {
     }
 }
 
-/// The budget used by the `experiments` binary unless overridden on the command
-/// line.
+/// The budget of every published figure: the default of the `scenarios`
+/// figure presets and of the `report` binary unless `--insts` overrides it.
 pub fn experiment_budget() -> SimBudget {
     SimBudget::new(50_000, 250_000)
 }

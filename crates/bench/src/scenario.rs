@@ -13,13 +13,12 @@
 //! [`Scenario::fig11`], [`Scenario::fig12`], [`Scenario::fig15`],
 //! [`Scenario::ec_residency`]) plus one renderer on [`ScenarioRun`]
 //! ([`ScenarioRun::figure_tables`]). [`Scenario::preset`] is the one table of
-//! preset names, shared by the spec grammar, the `scenarios` and
-//! `experiments` binaries and `flywheel-report`, so each figure is defined
-//! exactly once. The [`Scenario::leakage`] preset sweeps technology node x
-//! machine x Execution Cache capacity, exercising the attributed leakage
-//! model on every cell ([`check_cell_invariants`] recomputes each cell's
-//! per-category leakage from the machine-aware power model and rejects any
-//! disagreement).
+//! preset names, shared by the spec grammar, the `scenarios` binary and
+//! `flywheel-report`, so each figure is defined exactly once. The
+//! [`Scenario::leakage`] preset sweeps technology node x machine x Execution
+//! Cache capacity, exercising the attributed leakage model on every cell
+//! ([`check_cell_invariants`] recomputes each cell's per-category leakage
+//! from the machine-aware power model and rejects any disagreement).
 //!
 //! Every cell is a deterministic, independent simulation through
 //! [`Executor::simulate`]: the same scenario always produces the same results
@@ -251,10 +250,19 @@ impl Scenario {
         s
     }
 
-    /// Validates the scenario: every axis non-empty and free of repeats, the
-    /// seed axis sorted, and every expanded cell's machine configuration
-    /// internally consistent.
+    /// Validates the scenario: a measured budget of at least one
+    /// instruction, every axis non-empty and free of repeats, the seed axis
+    /// sorted, and every expanded cell's machine configuration internally
+    /// consistent.
     pub fn validate(&self) -> Result<(), String> {
+        // A cell that retires nothing would be stored and rendered as a
+        // 1.000x figure of degenerate counters.
+        if self.budget.measured_instructions == 0 {
+            return Err(format!(
+                "scenario '{}': the measured budget is 0 instructions",
+                self.name
+            ));
+        }
         fn render<T: std::fmt::Display>(axis: &[T]) -> Vec<String> {
             axis.iter().map(T::to_string).collect()
         }
@@ -352,7 +360,7 @@ impl Scenario {
     }
 
     /// Runs the grid across all available cores (`FLYWHEEL_JOBS` caps the
-    /// worker count, exactly like the `experiments` sweeps).
+    /// worker count, exactly like the figure sweeps).
     pub fn run(&self) -> ScenarioRun {
         self.run_with_jobs(worker_count())
     }

@@ -21,6 +21,9 @@
 //! A spec of the form `preset=NAME` (optionally with `warmup=`/`measured=`
 //! overrides) expands to the named [`Scenario::preset`] instead, so callers
 //! can say `preset=smoke` without spelling out the grid.
+//!
+//! Each field is parsed by [`apply_field`], which the `scenarios` binary's
+//! axis flags (`--benches`, `--seeds`, ...) go through as well.
 
 use crate::scenario::{Machine, Scenario};
 use flywheel_timing::TechNode;
@@ -163,15 +166,17 @@ pub fn scenario_to_spec(s: &Scenario) -> Result<String, SpecError> {
     ))
 }
 
-fn parse_pair(field: &str, value: &str) -> Result<(u32, u32), String> {
+fn parse_pair(value: &str) -> Result<(u32, u32), String> {
     let (a, b) = value
         .split_once(':')
-        .ok_or_else(|| format!("spec field '{field}': '{value}' is not A:B"))?;
-    let parse = |v: &str| {
-        v.parse::<u32>()
-            .map_err(|_| format!("spec field '{field}': '{v}' is not a number"))
-    };
-    Ok((parse(a)?, parse(b)?))
+        .ok_or_else(|| format!("'{value}' is not A:B"))?;
+    Ok((number(a)?, number(b)?))
+}
+
+fn number<T: std::str::FromStr>(value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("'{value}' is not a number"))
 }
 
 fn parse_list<T>(
@@ -203,89 +208,73 @@ pub fn scenario_from_spec(spec: &str) -> Result<Scenario, String> {
         })
         .collect::<Result<_, _>>()?;
 
-    let mut warmup: Option<u64> = None;
-    let mut measured: Option<u64> = None;
-    for &(key, value) in &fields {
-        let n = || {
-            value
-                .parse::<u64>()
-                .map_err(|_| format!("spec field '{key}': '{value}' is not a number"))
-        };
-        match key {
-            "warmup" => warmup = Some(n()?),
-            "measured" => measured = Some(n()?),
-            _ => {}
-        }
-    }
-    let budget = SimBudget::new(warmup.unwrap_or(2_000), measured.unwrap_or(8_000));
-
+    let budget = SimBudget::new(2_000, 8_000);
     let mut scenario = match fields.iter().find(|(k, _)| *k == "preset") {
         Some(&(_, name)) => Scenario::preset(name, budget)
             .ok_or_else(|| format!("unknown scenario preset '{name}'"))?,
         None => Scenario::new("spec", budget),
     };
-
     for (key, value) in fields {
-        match key {
-            "preset" | "warmup" | "measured" => {}
-            "name" => scenario.name = value.to_owned(),
-            "benches" | "benchmarks" => {
-                scenario.benchmarks = parse_list(key, value, |v| {
-                    Benchmark::from_name(v).ok_or_else(|| format!("unknown benchmark '{v}'"))
-                })?;
-            }
-            "machines" => {
-                scenario.machines = parse_list(key, value, |v| {
-                    Machine::from_name(v).ok_or_else(|| format!("unknown machine '{v}'"))
-                })?;
-            }
-            "nodes" => {
-                scenario.nodes = parse_list(key, value, |v| {
-                    let nm: u32 = v
-                        .parse()
-                        .map_err(|_| format!("'{v}' is not a feature size"))?;
-                    TechNode::all()
-                        .iter()
-                        .copied()
-                        .find(|n| n.feature_nm() == nm)
-                        .ok_or_else(|| format!("no {nm} nm technology node"))
-                })?;
-            }
-            "clocks" => {
-                scenario.clocks = parse_list(key, value, |v| parse_pair(key, v))?;
-            }
-            "baseline-clock" | "baseline_clock" => {
-                scenario.baseline_clock = parse_pair(key, value)?;
-            }
-            "windows" => {
-                scenario.windows = parse_list(key, value, |v| parse_pair(key, v))?;
-            }
-            "ec" | "ec-kb" | "ec_kb" => {
-                scenario.ec_kb = parse_list(key, value, |v| {
-                    v.parse::<u64>()
-                        .map_err(|_| format!("'{v}' is not a number"))
-                })?;
-            }
-            "mem" | "mem-cycles" | "mem_cycles" => {
-                scenario.mem_cycles = parse_list(key, value, |v| {
-                    v.parse::<u32>()
-                        .map_err(|_| format!("'{v}' is not a number"))
-                })?;
-            }
-            "seeds" => {
-                scenario.seeds = parse_list(key, value, |v| {
-                    v.parse::<u64>()
-                        .map_err(|_| format!("'{v}' is not a number"))
-                })?;
-                // Reject hostile seed lists at the parse site with the typed
-                // error's wording (Scenario::validate backstops this too).
-                check_seed_axis(&scenario.seeds).map_err(|e| e.to_string())?;
-            }
-            other => return Err(format!("unknown spec field '{other}'")),
+        if key != "preset" {
+            apply_field(&mut scenario, key, value)?;
         }
     }
     scenario.validate()?;
     Ok(scenario)
+}
+
+/// Applies one `key=value` field of the grammar to `scenario`: its name, an
+/// axis, the baseline clock or a budget field. This is the one per-field
+/// parser, shared by [`scenario_from_spec`] and the `scenarios` binary's axis
+/// flags. `preset` picks the scenario to start from, so it is unknown here.
+/// The result is not validated: call [`Scenario::validate`] once every field
+/// is applied.
+pub fn apply_field(scenario: &mut Scenario, key: &str, value: &str) -> Result<(), String> {
+    let field = |e: String| format!("spec field '{key}': {e}");
+    match key {
+        "name" => scenario.name = value.to_owned(),
+        "benches" | "benchmarks" => {
+            scenario.benchmarks = parse_list(key, value, |v| {
+                Benchmark::from_name(v).ok_or_else(|| format!("unknown benchmark '{v}'"))
+            })?;
+        }
+        "machines" => {
+            scenario.machines = parse_list(key, value, |v| {
+                Machine::from_name(v).ok_or_else(|| format!("unknown machine '{v}'"))
+            })?;
+        }
+        "nodes" => {
+            scenario.nodes = parse_list(key, value, |v| {
+                let nm: u32 = v
+                    .parse()
+                    .map_err(|_| format!("'{v}' is not a feature size"))?;
+                TechNode::all()
+                    .iter()
+                    .copied()
+                    .find(|n| n.feature_nm() == nm)
+                    .ok_or_else(|| format!("no {nm} nm technology node"))
+            })?;
+        }
+        "clocks" => scenario.clocks = parse_list(key, value, parse_pair)?,
+        "baseline-clock" | "baseline_clock" => {
+            scenario.baseline_clock = parse_pair(value).map_err(field)?;
+        }
+        "windows" => scenario.windows = parse_list(key, value, parse_pair)?,
+        "ec" | "ec-kb" | "ec_kb" => scenario.ec_kb = parse_list(key, value, number)?,
+        "mem" | "mem-cycles" | "mem_cycles" => {
+            scenario.mem_cycles = parse_list(key, value, number)?;
+        }
+        "seeds" => {
+            scenario.seeds = parse_list(key, value, number)?;
+            // Reject hostile seed lists at the parse site with the typed
+            // error's wording (Scenario::validate backstops this too).
+            check_seed_axis(&scenario.seeds).map_err(|e| e.to_string())?;
+        }
+        "warmup" => scenario.budget.warmup_instructions = number(value).map_err(field)?,
+        "measured" => scenario.budget.measured_instructions = number(value).map_err(field)?,
+        other => return Err(format!("unknown spec field '{other}'")),
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -539,6 +528,7 @@ mod tests {
             ("frobnicate=1", "unknown spec field"),
             ("novalue", "not key=value"),
             ("name=x;benches=,", "axis 'benchmarks' is empty"),
+            ("preset=smoke;measured=0", "measured budget is 0"),
         ] {
             let err = scenario_from_spec(spec).expect_err(spec);
             assert!(

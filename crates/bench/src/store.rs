@@ -22,10 +22,10 @@
 //! Every cell reaches the store through
 //! [`Scenario::run_with_store`](crate::scenario::Scenario::run_with_store),
 //! keyed by [`Executor::key`](crate::executor::Executor::key). The
-//! `scenarios` and `experiments` binaries take `--store PATH`, so a re-run
-//! after touching one workload only simulates the affected cells; the
-//! `flywheel-report` crate renders the Markdown figure tables from the same
-//! records through the same scenario presets.
+//! `scenarios` binary takes `--store PATH`, so a re-run after touching one
+//! workload only simulates the affected cells; the `flywheel-report` crate
+//! fills the published store (`report --populate`) and renders the Markdown
+//! figure tables from the same records through the same scenario presets.
 
 use flywheel_core::{FlywheelResult, FlywheelStats};
 use flywheel_uarch::{SimBudget, SimResult};

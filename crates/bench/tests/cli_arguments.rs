@@ -1,6 +1,6 @@
-//! Argument rejection at the `scenarios` and `experiments` binaries (via
-//! `CARGO_BIN_EXE_*`): an input the binary cannot honour exits non-zero
-//! before any simulation, and leaves nothing behind.
+//! Argument rejection at the `scenarios` binary (via
+//! `CARGO_BIN_EXE_scenarios`): an input the binary cannot honour exits
+//! non-zero before any simulation, and leaves nothing behind.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -44,26 +44,49 @@ fn a_repeated_axis_entry_is_rejected_before_anything_is_simulated() {
 }
 
 #[test]
-fn experiments_rejects_a_budget_it_cannot_parse() {
-    for (tag, args) in [
-        ("bad-budget", "ec_residency 20k"),
-        ("extra-arg", "ec_residency 2000 extra"),
+fn scenarios_rejects_a_budget_it_cannot_parse() {
+    for (tag, args, needle) in [
+        ("bad-budget", "ec_residency --insts 20k", "usage: scenarios"),
+        (
+            "extra-arg",
+            "ec_residency --insts 2000 extra",
+            "usage: scenarios",
+        ),
+        (
+            "zero-budget",
+            "ec_residency --insts 0 --store zero.store",
+            "measured budget is 0",
+        ),
     ] {
-        let (dir, out) = run(env!("CARGO_BIN_EXE_experiments"), tag, args);
+        let (dir, out) = run(env!("CARGO_BIN_EXE_scenarios"), tag, args);
         let stdout = String::from_utf8_lossy(&out.stdout);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
             !out.status.success(),
-            "experiments {args}: must exit non-zero"
+            "scenarios {args}: must exit non-zero"
         );
-        assert!(
-            stderr.contains("usage: experiments"),
-            "{args}: got {stderr}"
-        );
+        assert!(stderr.contains(needle), "{args}: got {stderr}");
         assert!(
             !stdout.contains("== "),
-            "experiments {args}: printed a figure table:\n{stdout}"
+            "scenarios {args}: printed a figure table:\n{stdout}"
         );
+        assert!(!dir.join("zero.store").exists(), "no store may be written");
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+#[test]
+fn fsck_refuses_a_store_that_does_not_exist() {
+    let (dir, out) = run(
+        env!("CARGO_BIN_EXE_scenarios"),
+        "fsck-missing",
+        "fsck nosuch.store",
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "a missing store must not pass fsck");
+    assert!(stderr.contains("no such store"), "got: {stderr}");
+    assert!(!stdout.contains("clean"), "got: {stdout}");
+    assert!(!dir.join("nosuch.store").exists(), "fsck may not create it");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,7 +8,7 @@
 //!
 //! --store PATH        result store to read (default: results.store)
 //! --insts N           measured instructions per cell, N/10 warm-up on top
-//!                     (default: the experiment budget, 250000)
+//!                     (at least 1; default: the experiment budget, 250000)
 //! --results PATH      RESULTS.md artifact (default: RESULTS.md)
 //! --experiments PATH  document carrying the generated figure block
 //!                     (default: EXPERIMENTS.md)
@@ -20,7 +20,8 @@
 //!                     with per-cell EC-residency timelines and occupancy
 //!                     sparklines
 //! --populate          simulate (and store) any record the figures need that
-//!                     the store is missing, instead of failing
+//!                     the store is missing, instead of failing; this is how
+//!                     a fresh store is filled
 //! --check             verify the committed documents against the store and
 //!                     exit non-zero on any disagreement, writing nothing
 //! ```
@@ -73,10 +74,12 @@ fn main() {
             "--experiments" => experiments_path = value(),
             "--scenario-json" => scenario_json_path = Some(value()),
             "--telemetry-log" => telemetry_log_path = Some(value()),
-            "--insts" => {
-                let n: u64 = value().parse().unwrap_or_else(|_| usage());
-                budget = SimBudget::new(n / 10, n);
-            }
+            "--insts" => match value().parse::<u64>() {
+                // A zero budget would store and render cells that retired
+                // nothing; refuse it before the store is opened.
+                Ok(n) if n > 0 => budget = SimBudget::new(n / 10, n),
+                _ => usage(),
+            },
             "--populate" => do_populate = true,
             "--check" => do_check = true,
             _ => usage(),

@@ -10,14 +10,15 @@
 //!   companion tables introduced with the attributed power model) is the
 //!   figure's scenario preset run against the store and rendered by
 //!   [`ScenarioRun::figure_tables`] — the one definition of each figure the
-//!   `experiments` and `scenarios` binaries print too.
+//!   `scenarios` binary prints too.
 //! * [`results_markdown`] assembles the full `RESULTS.md` artifact: the
 //!   figure tables and the seed-sensitivity tables. The simulator's own speed
 //!   is measured by `python3 perfbench/run.py`, not recorded here.
 //! * [`patch_block`]/[`extract_block`] maintain the generated section of
 //!   `EXPERIMENTS.md` between `flywheel-report` markers.
-//! * The `report` binary drives it all, and its `--check` mode is the CI gate
-//!   that fails when committed docs disagree with the store.
+//! * The `report` binary drives it all. Its `--populate` mode fills a fresh
+//!   store with every record the documents read, and its `--check` mode is
+//!   the CI gate that fails when committed docs disagree with the store.
 //!
 //! Grids run through a [`Source`], which either refuses to simulate
 //! ([`Source::read_only`], the `--check` path) or simulates and stores the
@@ -117,8 +118,8 @@ impl<'a> Source<'a> {
                 Some(r) => Ok(r.clone()),
                 None => Err(format!(
                     "no stored record for {}; populate the store first \
-                     (`cargo run --release -p flywheel-report --bin report -- --populate` or \
-                     `cargo run --release -p flywheel-bench --bin experiments -- all --store results.store`)",
+                     (`cargo run --release -p flywheel-report --bin report -- --populate \
+                     --store results.store`)",
                     cell.label()
                 )),
             })
@@ -303,8 +304,9 @@ fn fig15_seed_sensitivity_table(run: &ScenarioRun) -> Result<String, String> {
     ))
 }
 
-/// All figure tables, in the `experiments all` order, followed by the
-/// seed-sensitivity tables: every grid of [`report_grids`] run through `src`.
+/// All figure tables, in the paper's order ([`Scenario::figure_names`]),
+/// followed by the seed-sensitivity tables: every grid of [`report_grids`]
+/// run through `src`.
 pub fn all_figure_tables(src: &mut Source<'_>, budget: SimBudget) -> Result<String, String> {
     let runs = report_grids(budget)
         .iter()
@@ -321,7 +323,8 @@ pub fn all_figure_tables(src: &mut Source<'_>, budget: SimBudget) -> Result<Stri
 }
 
 /// Simulates (or recalls) every cell the figure tables read, appending any
-/// missing record to the store. Returns how many cells were recalled vs
+/// missing record to the store, in [`report_grids`] order: the one way the
+/// published store is filled. Returns how many cells were recalled vs
 /// simulated.
 pub fn populate(store: &mut ResultStore, budget: SimBudget) -> Result<StoreSummary, String> {
     let mut src = Source::computing(store);

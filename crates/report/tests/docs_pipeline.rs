@@ -1,7 +1,8 @@
 //! End-to-end tests of the self-regenerating docs pipeline: populate a store,
 //! render the documents, verify the `--check` logic accepts faithful docs and
-//! catches tampered ones, and prove the committed store holds every cell the
-//! published tables read.
+//! catches tampered ones, prove the committed store holds every cell the
+//! published tables read, and check that the `report` binary refuses a budget
+//! it cannot honour.
 
 use flywheel_bench::scenario::Scenario;
 use flywheel_bench::store::ResultStore;
@@ -159,4 +160,21 @@ fn missing_records_name_the_populate_commands() {
     let err = all_figure_tables(&mut src, tiny_budget()).unwrap_err();
     assert!(err.contains("--populate"), "got: {err}");
     assert!(err.contains("--store results.store"), "got: {err}");
+}
+
+#[test]
+fn report_rejects_a_zero_budget_before_opening_the_store() {
+    let dir = std::env::temp_dir().join(format!("fw-report-zero-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_report"))
+        .args(["--insts", "0", "--populate", "--store", "zero.store"])
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "--insts 0 must exit non-zero");
+    assert!(stderr.contains("usage: report"), "got: {stderr}");
+    assert!(!dir.join("zero.store").exists(), "no store may be written");
+    let _ = std::fs::remove_dir_all(&dir);
 }

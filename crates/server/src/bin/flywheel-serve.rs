@@ -55,11 +55,7 @@ fn usage() -> ! {
            --addr HOST:PORT        listen address (default 127.0.0.1:7877; port 0 picks one)\n\
            --store PATH            result store swept into (default results.store)\n\
            --shards N              worker processes per sweep (default: cores, capped at 8)\n\
-           --status-dir DIR        worker status files (default <store>.status)\n\
-           --max-restarts N        restarts per shard before degrading (default 2)\n\
            --backoff-ms MS         base restart backoff (default 100)\n\
-           --stall-timeout-ms MS   heartbeat stall kill threshold (default 10000)\n\
-           --deadline-ms MS        per-incarnation wall budget (default 120000)\n\
            --faults SPEC           fault-injection plan forwarded to workers\n\
            --telemetry PATH        arm kernel telemetry per sweep; workers write to\n\
                                    per-shard event logs merged at PATH (jobs can opt\n\
@@ -77,11 +73,7 @@ fn main() {
     let mut addr = "127.0.0.1:7877".to_owned();
     let mut store = PathBuf::from("results.store");
     let mut shards = std::thread::available_parallelism().map_or(2, |n| n.get().min(8));
-    let mut status_dir: Option<PathBuf> = None;
-    let mut max_restarts: Option<u32> = None;
     let mut backoff_ms: Option<u64> = None;
-    let mut stall_timeout_ms: Option<u64> = None;
-    let mut deadline_ms: Option<u64> = None;
     let mut faults: Option<FaultPlan> = None;
     let mut telemetry: Option<PathBuf> = None;
 
@@ -103,15 +95,7 @@ fn main() {
             "--addr" => addr = value("--addr"),
             "--store" => store = PathBuf::from(value("--store")),
             "--shards" => shards = (num("--shards", value("--shards")) as usize).max(1),
-            "--status-dir" => status_dir = Some(PathBuf::from(value("--status-dir"))),
-            "--max-restarts" => {
-                max_restarts = Some(num("--max-restarts", value("--max-restarts")) as u32)
-            }
             "--backoff-ms" => backoff_ms = Some(num("--backoff-ms", value("--backoff-ms"))),
-            "--stall-timeout-ms" => {
-                stall_timeout_ms = Some(num("--stall-timeout-ms", value("--stall-timeout-ms")))
-            }
-            "--deadline-ms" => deadline_ms = Some(num("--deadline-ms", value("--deadline-ms"))),
             "--faults" => {
                 let spec = value("--faults");
                 faults = Some(FaultPlan::parse(&spec).unwrap_or_else(|e| {
@@ -132,20 +116,10 @@ fn main() {
         eprintln!("flywheel-serve: cannot resolve own executable: {e}");
         exit(1);
     });
-    let status_dir =
-        status_dir.unwrap_or_else(|| PathBuf::from(format!("{}.status", store.display())));
+    let status_dir = PathBuf::from(format!("{}.status", store.display()));
     let mut cfg = SupervisorConfig::new(shards, worker_exe, status_dir);
-    if let Some(n) = max_restarts {
-        cfg.max_restarts = n;
-    }
     if let Some(ms) = backoff_ms {
         cfg.backoff = Duration::from_millis(ms);
-    }
-    if let Some(ms) = stall_timeout_ms {
-        cfg.stall_timeout = Duration::from_millis(ms);
-    }
-    if let Some(ms) = deadline_ms {
-        cfg.shard_deadline = Duration::from_millis(ms);
     }
     cfg.faults = faults;
     cfg.telemetry = telemetry;

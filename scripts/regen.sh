@@ -9,13 +9,13 @@
 #                          the code-version salt baked into every store key,
 #                          so every previously stored record stops being
 #                          addressable.
-#   2. results.store     — recreated from scratch (the schema/salt changed,
-#                          so none of the old records could be recalled
-#                          anyway) by the full experiments sweep.
-#   3. RESULTS.md +      — re-rendered byte-identically from the fresh store
-#      EXPERIMENTS.md      by the report binary (--populate fills any figure
-#                          cell the sweep did not cover).
-#   4. report --check    — proves the committed docs now match the store,
+#   2. results.store +   — one `report --populate` run into a fresh store
+#      RESULTS.md +        (the schema/salt changed, so none of the old
+#      EXPERIMENTS.md      records could be recalled anyway): it simulates
+#                          every cell the published tables read, in the
+#                          report's grid order, and renders the documents
+#                          from the records it just wrote.
+#   3. report --check    — proves the committed docs now match the store,
 #                          i.e. CI's docs gate will pass.
 #
 # Each `cargo run` rebuilds first, so step 2 compiles against the
@@ -34,22 +34,20 @@ cd "$(dirname "$0")/.."
 scratch="$(mktemp -d .regen-scratch.XXXXXX)"
 trap 'rm -rf "$scratch"' EXIT
 
-echo "== [1/4] regenerating golden.txt (bit-identity digest + store salt) =="
+echo "== [1/3] regenerating golden.txt (bit-identity digest + store salt) =="
 cargo run --release -p flywheel-bench --bin golden > "$scratch/golden.txt"
 mv "$scratch/golden.txt" golden.txt
 
-echo "== [2/4] repopulating results.store (full experiments sweep) =="
-cargo run --release -p flywheel-bench --bin experiments -- all --store "$scratch/results.store"
-mv "$scratch/results.store" results.store
-
-echo "== [3/4] re-rendering RESULTS.md and EXPERIMENTS.md from the store =="
+echo "== [2/3] repopulating results.store and re-rendering RESULTS.md and EXPERIMENTS.md =="
 cp EXPERIMENTS.md "$scratch/EXPERIMENTS.md"
 cargo run --release -p flywheel-report --bin report -- --populate \
+    --store "$scratch/results.store" \
     --results "$scratch/RESULTS.md" --experiments "$scratch/EXPERIMENTS.md"
+mv "$scratch/results.store" results.store
 mv "$scratch/RESULTS.md" RESULTS.md
 mv "$scratch/EXPERIMENTS.md" EXPERIMENTS.md
 
-echo "== [4/4] verifying the docs gate =="
+echo "== [3/3] verifying the docs gate =="
 cargo run --release -p flywheel-report --bin report -- --check
 
 echo "regen complete: golden.txt, results.store, RESULTS.md and EXPERIMENTS.md are consistent"
